@@ -8,7 +8,7 @@
 //! or JSON lines (one object per diagnostic — greppable, diffable, and
 //! reusable as a [`crate::Baseline`]).
 
-use serde::Serialize;
+use cornet_types::json::write_str;
 use std::fmt;
 
 /// Stable machine-readable diagnostic code, e.g. `CN0102`.
@@ -17,7 +17,7 @@ use std::fmt;
 /// dataflow, `CN03xx` resilience, `CN04xx` planning, `CN05xx`
 /// verification, `CN06xx` interference. Codes never change meaning once
 /// released; retired codes are not reused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Code(pub &'static str);
 
 impl Code {
@@ -42,8 +42,7 @@ impl fmt::Display for Code {
 }
 
 /// How severe a finding is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// The artifact must not be deployed; `cornet check` exits non-zero.
     Error,
@@ -68,8 +67,7 @@ impl Severity {
 ///
 /// Rendering is stable: messages built from a `SourceRef` never include
 /// `Debug` noise, so operators (and baselines) can rely on the text.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SourceRef {
     /// No specific anchor (whole-bundle findings).
     Global,
@@ -147,7 +145,7 @@ impl fmt::Display for SourceRef {
 }
 
 /// One finding of one analysis pass.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Diagnostic {
     /// Stable machine code.
     pub code: Code,
@@ -219,27 +217,26 @@ impl Diagnostic {
         out
     }
 
-    /// One-line JSON object rendering (hand-rolled: the vendored
-    /// `serde_json` cannot emit real JSON).
+    /// One-line JSON object rendering.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"code\":");
-        json_string(&mut out, self.code.0);
+        write_str(&mut out, self.code.0);
         out.push_str(",\"severity\":");
-        json_string(&mut out, self.severity.label());
+        write_str(&mut out, self.severity.label());
         out.push_str(",\"category\":");
-        json_string(&mut out, self.code.category());
+        write_str(&mut out, self.code.category());
         out.push_str(",\"where\":");
-        json_string(&mut out, &self.source.to_string());
+        write_str(&mut out, &self.source.to_string());
         out.push_str(",\"message\":");
-        json_string(&mut out, &self.message);
+        write_str(&mut out, &self.message);
         if let Some(hint) = &self.hint {
             out.push_str(",\"hint\":");
-            json_string(&mut out, hint);
+            write_str(&mut out, hint);
         }
         if !self.pass.is_empty() {
             out.push_str(",\"pass\":");
-            json_string(&mut out, &self.pass);
+            write_str(&mut out, &self.pass);
         }
         out.push('}');
         out
@@ -254,25 +251,8 @@ impl Diagnostic {
     }
 }
 
-/// Append `s` as a JSON string literal (with escapes) to `out`.
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Aggregated findings of one analysis run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
     /// All diagnostics, in emission order until [`Report::sort`].
     pub diagnostics: Vec<Diagnostic>,
@@ -387,9 +367,9 @@ impl Report {
                 out.push(',');
             }
             out.push_str("{\"id\":");
-            json_string(&mut out, code.0);
+            write_str(&mut out, code.0);
             out.push_str(",\"shortDescription\":{\"text\":");
-            json_string(&mut out, code.category());
+            write_str(&mut out, code.category());
             out.push_str("}}");
         }
         out.push_str("]}},\"results\":[");
@@ -398,9 +378,9 @@ impl Report {
                 out.push(',');
             }
             out.push_str("{\"ruleId\":");
-            json_string(&mut out, d.code.0);
+            write_str(&mut out, d.code.0);
             out.push_str(",\"level\":");
-            json_string(
+            write_str(
                 &mut out,
                 match d.severity {
                     Severity::Error => "error",
@@ -413,16 +393,16 @@ impl Report {
                 Some(hint) => format!("{} (help: {hint})", d.message),
                 None => d.message.clone(),
             };
-            json_string(&mut out, &text);
+            write_str(&mut out, &text);
             out.push_str(
                 "},\"locations\":[{\"logicalLocations\":[{\
                           \"fullyQualifiedName\":",
             );
-            json_string(&mut out, &d.source.to_string());
+            write_str(&mut out, &d.source.to_string());
             out.push_str("}]}]");
             if !d.pass.is_empty() {
                 out.push_str(",\"properties\":{\"pass\":");
-                json_string(&mut out, &d.pass);
+                write_str(&mut out, &d.pass);
                 out.push('}');
             }
             out.push('}');

@@ -57,6 +57,7 @@ use cornet_stats::{
     median, quantile, robust_rank_order, robust_rank_order_naive, theil_sen, theil_sen_exact,
 };
 use cornet_types::{
+    json::{self, JsonValue},
     Attributes, Granularity, Inventory, NfType, NodeId, ParamValue, Schedule, Timeslot, Topology,
 };
 use cornet_verifier::{
@@ -1178,22 +1179,18 @@ fn bench_streaming_verify(min_reps: usize) -> Scenario {
 
 // --- reporting ----------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Hand-rendered JSON: the vendored serde_json stub cannot parse external
-/// JSON, so the report is emitted (and structurally validated) without it.
+/// Render a `BENCH_*.json` report (structurally validated by
+/// [`validate_report`] before it is written).
 fn render_report(bench: &str, mode: &str, cpus: usize, scenarios: &[Scenario]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(mode)));
+    out.push_str(&format!("  \"bench\": \"{}\",\n", json::escape(bench)));
+    out.push_str(&format!("  \"mode\": \"{}\",\n", json::escape(mode)));
     out.push_str(&format!("  \"cpu_count\": {cpus},\n"));
     out.push_str("  \"scenarios\": [\n");
     for (i, s) in scenarios.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(s.name)));
+        out.push_str(&format!("      \"name\": \"{}\",\n", json::escape(s.name)));
         out.push_str("      \"params\": {");
         for (j, (k, v)) in s.params.iter().enumerate() {
             if j > 0 {
@@ -1201,9 +1198,9 @@ fn render_report(bench: &str, mode: &str, cpus: usize, scenarios: &[Scenario]) -
             }
             // Numeric param values render bare; anything else as a string.
             if v.parse::<f64>().is_ok() {
-                out.push_str(&format!("\"{}\": {}", json_escape(k), v));
+                out.push_str(&format!("\"{}\": {}", json::escape(k), v));
             } else {
-                out.push_str(&format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)));
+                out.push_str(&format!("\"{}\": \"{}\"", json::escape(k), json::escape(v)));
             }
         }
         out.push_str("},\n");
@@ -1233,31 +1230,12 @@ fn write_report(out_dir: &str, bench: &str, mode: &str, cpus: usize, scenarios: 
     eprintln!("wrote {path}");
 }
 
-/// Structural self-check of the emitted JSON: balanced braces/brackets
-/// outside strings, required keys present, one object per scenario.
+/// Self-check of the emitted JSON: it parses, required keys are present,
+/// one object per scenario.
 fn validate_report(body: &str, scenario_count: usize) {
-    let (mut depth, mut brackets, mut in_str, mut esc) = (0i64, 0i64, false, false);
-    for c in body.chars() {
-        if in_str {
-            match (esc, c) {
-                (true, _) => esc = false,
-                (false, '\\') => esc = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth += 1,
-            '}' => depth -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0 && brackets >= 0, "malformed report JSON");
+    if let Err(e) = json::parse(body) {
+        panic!("malformed report JSON: {e}");
     }
-    assert_eq!((depth, brackets, in_str), (0, 0, false), "unbalanced JSON");
     for key in ["\"bench\"", "\"mode\"", "\"cpu_count\"", "\"scenarios\""] {
         assert!(body.contains(key), "report missing {key}");
     }
@@ -1384,29 +1362,20 @@ fn bench_daemon_submit_latency(smoke: bool, min_reps: usize) -> Scenario {
 // --- bench-regression gate ----------------------------------------------
 
 /// Extract `scenario name → speedup` from a `BENCH_*.json` document
-/// (parsed with the same hand-rolled JSON reader the intent parser uses —
-/// the vendored `serde_json` is a stub).
+/// (parsed with the workspace's JSON reader, `cornet_types::json`).
 fn parse_speedups(body: &str) -> Result<Vec<(String, f64)>, String> {
-    let doc = cornet_planner::json::parse(body).map_err(|e| e.to_string())?;
-    let scenarios = doc
-        .get("scenarios")
-        .and_then(|s| s.as_array())
-        .ok_or("no \"scenarios\" array")?;
-    scenarios
-        .iter()
-        .map(|s| {
-            let name = s
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or("scenario without \"name\"")?
-                .to_owned();
-            let speedup = s
-                .get("speedup")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("scenario {name} without \"speedup\""))?;
-            Ok((name, speedup))
+    let scenario = |s: &JsonValue| -> cornet_types::Result<(String, f64)> {
+        let name = s.field("name", JsonValue::as_str)?.to_owned();
+        Ok((name, s.field("speedup", JsonValue::as_f64)?))
+    };
+    json::parse(body)
+        .and_then(|doc| {
+            doc.field("scenarios", JsonValue::as_array)?
+                .iter()
+                .map(scenario)
+                .collect()
         })
-        .collect()
+        .map_err(|e| e.to_string())
 }
 
 /// Compare fresh speedups against a baseline. A scenario regresses when
@@ -1464,33 +1433,23 @@ struct ManifestEntry {
 /// group) cannot silently skip the gate by leaving one of the two
 /// hand-pinned lists stale.
 fn parse_manifest(body: &str) -> Result<Vec<ManifestEntry>, String> {
-    let doc = cornet_planner::json::parse(body).map_err(|e| e.to_string())?;
-    let benches = doc
-        .get("benches")
-        .and_then(|b| b.as_array())
-        .ok_or("no \"benches\" array")?;
-    benches
-        .iter()
-        .map(|b| {
-            let name = b
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or("bench entry without \"name\"")?
-                .to_owned();
-            let required = b
-                .get("required")
-                .and_then(|r| r.as_array())
-                .ok_or_else(|| format!("bench {name} without \"required\" array"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| format!("bench {name}: non-string required entry"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(ManifestEntry { name, required })
+    let entry = |b: &JsonValue| -> cornet_types::Result<ManifestEntry> {
+        Ok(ManifestEntry {
+            name: b.field("name", JsonValue::as_str)?.to_owned(),
+            required: b.field("required", |r| {
+                let names = r.as_array()?.iter();
+                names.map(|n| n.as_str().map(str::to_owned)).collect()
+            })?,
         })
-        .collect()
+    };
+    json::parse(body)
+        .and_then(|doc| {
+            doc.field("benches", JsonValue::as_array)?
+                .iter()
+                .map(entry)
+                .collect()
+        })
+        .map_err(|e| e.to_string())
 }
 
 /// The CI bench-regression gate: for every group in the baseline dir's
@@ -1575,22 +1534,37 @@ mod gate_tests {
 
     #[test]
     fn parse_speedups_reads_real_report_format() {
+        let control = "tab\tquote\"nul\u{1}";
         let body = render_report(
             "orchestrator",
             "smoke",
             4,
-            &[Scenario {
-                name: "straggler_heavy_dispatch",
-                params: vec![("instances", "200".into())],
-                baseline_ms: 500.0,
-                optimized_ms: 125.0,
-                trace_summary: Some("{}".into()),
-            }],
+            &[
+                Scenario {
+                    name: "straggler_heavy_dispatch",
+                    params: vec![("instances", "200".into())],
+                    baseline_ms: 500.0,
+                    optimized_ms: 125.0,
+                    trace_summary: Some("{}".into()),
+                },
+                Scenario {
+                    name: control,
+                    params: vec![(control, control.into())],
+                    baseline_ms: 2.0,
+                    optimized_ms: 1.0,
+                    trace_summary: None,
+                },
+            ],
+        );
+        assert!(
+            !body.contains(['\t', '\u{1}']),
+            "raw control characters in {body}"
         );
         let speedups = parse_speedups(&body).unwrap();
-        assert_eq!(speedups.len(), 1);
+        assert_eq!(speedups.len(), 2);
         assert_eq!(speedups[0].0, "straggler_heavy_dispatch");
         assert!((speedups[0].1 - 4.0).abs() < 1e-9);
+        assert_eq!(speedups[1].0, control);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 
 use crate::block::{BlockSpec, Phase, RunnerKind};
 use cornet_types::NfType;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A registered implementation of a building block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Implementation {
     /// Block name the implementation serves.
     pub block: String,
@@ -24,7 +23,7 @@ pub struct Implementation {
 }
 
 /// The building-block catalog.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Catalog {
     blocks: BTreeMap<String, BlockSpec>,
     implementations: Vec<Implementation>,

@@ -29,8 +29,7 @@
 use crate::check::MopBundle;
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_catalog::StateDim;
-use cornet_obs::json_escape;
-use cornet_types::NodeId;
+use cornet_types::{json, NodeId};
 use cornet_workflow::workflow_effects;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -94,7 +93,7 @@ impl CampaignBlast {
         let mut out = format!(
             "{{\"workflow\":\"{}\",\"writes\":{},\"must_writes\":{},\"reads\":{},\
              \"backout_writes\":{},\"assumed\":{},\"nodes\":[",
-            json_escape(&self.workflow),
+            json::escape(&self.workflow),
             dims(&self.writes),
             dims(&self.must_writes),
             dims(&self.reads),
@@ -108,7 +107,7 @@ impl CampaignBlast {
             let _ = write!(
                 out,
                 "{{\"node\":\"{}\",\"slot\":{},\"window\":[{},{}],\"basis\":\"{}\"}}",
-                json_escape(&t.name),
+                json::escape(&t.name),
                 t.slot,
                 t.window.0,
                 t.window.1,

@@ -157,15 +157,7 @@ fn req_str<'a>(obj: &'a JsonValue, key: &str, what: &str) -> Result<&'a str> {
 }
 
 fn param_type(name: &str) -> Result<ParamType> {
-    Ok(match name {
-        "string" => ParamType::String,
-        "int" => ParamType::Int,
-        "float" => ParamType::Float,
-        "bool" => ParamType::Bool,
-        "list" => ParamType::List,
-        "map" => ParamType::Map,
-        other => return Err(bad(format!("unknown parameter type '{other}'"))),
-    })
+    ParamType::from_name(name).ok_or_else(|| bad(format!("unknown parameter type '{name}'")))
 }
 
 fn nf_type(name: &str) -> Result<NfType> {
@@ -425,7 +417,9 @@ fn load_campaign(spec: &JsonValue) -> Result<Campaign> {
     ))
 }
 
-fn bundle_from_value(root: &JsonValue) -> Result<MopBundle> {
+/// Build a bundle from an already-parsed JSON document — the body of
+/// [`load_bundle`], for callers that hold the parsed value already.
+pub fn bundle_from_value(root: &JsonValue) -> Result<MopBundle> {
     let mut bundle = MopBundle::default();
     if let Some(workflows) = root.get("workflows").and_then(JsonValue::as_array) {
         for spec in workflows {

@@ -23,103 +23,6 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Parse external JSON text into a workflow-state [`ParamValue`] — the
-/// entry point for feeding intents (or any operator-supplied document)
-/// into a workflow's global state. Tries `serde_json` first and falls
-/// back to the planner's self-contained reader, mirroring
-/// `PlanIntent::from_json`. JSON `null` has no `ParamValue` analogue and
-/// is rejected.
-pub fn param_value_from_json(json: &str) -> Result<ParamValue> {
-    if let Ok(v) = serde_json::from_str::<ParamValue>(json) {
-        return Ok(v);
-    }
-    fn convert(v: &cornet_planner::json::JsonValue) -> Result<ParamValue> {
-        use cornet_planner::json::JsonValue;
-        Ok(match v {
-            JsonValue::Null => {
-                return Err(CornetError::Parse(
-                    "JSON null has no workflow-state representation".into(),
-                ))
-            }
-            JsonValue::Bool(b) => ParamValue::Bool(*b),
-            JsonValue::Number(n) => {
-                if n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(n) {
-                    ParamValue::Int(*n as i64)
-                } else {
-                    ParamValue::Float(*n)
-                }
-            }
-            JsonValue::String(s) => ParamValue::Str(s.clone()),
-            JsonValue::Array(items) => {
-                ParamValue::List(items.iter().map(convert).collect::<Result<_>>()?)
-            }
-            JsonValue::Object(entries) => ParamValue::Map(
-                entries
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), convert(v)?)))
-                    .collect::<Result<_>>()?,
-            ),
-        })
-    }
-    convert(&cornet_planner::json::parse(json)?)
-}
-
-/// Render a workflow-state [`ParamValue`] as JSON text — the inverse of
-/// [`param_value_from_json`], used to hand state values to JSON-speaking
-/// consumers like `PlanIntent::from_json` without relying on `serde_json`
-/// being able to serialize externally-constructed values.
-pub fn param_value_to_json(value: &ParamValue) -> String {
-    fn escape(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-    fn render(v: &ParamValue, out: &mut String) {
-        match v {
-            ParamValue::Str(s) => escape(s, out),
-            ParamValue::Int(i) => out.push_str(&i.to_string()),
-            ParamValue::Float(f) if f.is_finite() => out.push_str(&format!("{f:?}")),
-            ParamValue::Float(_) => out.push_str("null"),
-            ParamValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            ParamValue::List(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
-                }
-                out.push(']');
-            }
-            ParamValue::Map(entries) => {
-                out.push('{');
-                for (i, (k, item)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape(k, out);
-                    out.push(':');
-                    render(item, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-    let mut out = String::new();
-    render(value, &mut out);
-    out
-}
-
 /// Read a node-id list (`["id000001", …]`) from the state.
 fn read_nodes(state: &GlobalState, key: &str) -> Result<Vec<NodeId>> {
     let list = state
@@ -166,7 +69,7 @@ pub fn planning_registry(
         let intent_value = state.get("intent").ok_or_else(|| {
             CornetError::ExecutionFailed("missing 'intent' in workflow state".into())
         })?;
-        PlanIntent::from_json(&param_value_to_json(intent_value))
+        PlanIntent::from_value(&intent_value.to_json_value())
     };
 
     reg.register("detect_conflicts", move |state: &mut GlobalState| {
@@ -493,7 +396,8 @@ mod tests {
     fn planning_inputs(nodes: &[NodeId]) -> GlobalState {
         let mut state = GlobalState::new();
         write_nodes(&mut state, "nodes", nodes);
-        let intent_pv = param_value_from_json(INTENT).unwrap();
+        let intent_pv =
+            ParamValue::from_json_value(&cornet_types::json::parse(INTENT).unwrap()).unwrap();
         state.insert("intent".into(), intent_pv);
         state
     }

@@ -26,7 +26,8 @@
 use crate::http::{Handler, HttpServer, Reply, Request, Response};
 use crate::manager::{ApiError, CampaignManager, CampaignSnapshot, SubmitOutcome};
 use crate::stream::StreamHub;
-use cornet_obs::{json_escape, Tracer};
+use cornet_obs::Tracer;
+use cornet_types::json;
 use std::fmt::Write as _;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -105,7 +106,7 @@ fn route(
                     201,
                     format!(
                         "{{\"id\":\"{}\",\"warnings\":{},\"phase\":\"queued\"}}",
-                        json_escape(&id),
+                        json::escape(&id),
                         report.warning_count()
                     ),
                 )),
@@ -248,7 +249,7 @@ fn error_response(e: &ApiError) -> Response {
     };
     Response::json(
         status,
-        format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string())),
+        format!("{{\"error\":\"{}\"}}", json::escape(&e.to_string())),
     )
 }
 
@@ -276,9 +277,9 @@ pub fn render_snapshot(snap: &CampaignSnapshot) -> String {
         "{{\"id\":\"{}\",\"tenant\":\"{}\",\"name\":\"{}\",\"phase\":\"{}\",\
          \"total_instances\":{},\"instances_done\":{},\"blocks_live\":{},\
          \"blocks_recovered\":{},\"events\":{}",
-        json_escape(&snap.id),
-        json_escape(&snap.tenant),
-        json_escape(&snap.name),
+        json::escape(&snap.id),
+        json::escape(&snap.tenant),
+        json::escape(&snap.name),
         snap.phase.label(),
         snap.total_instances,
         snap.instances_done,
@@ -296,7 +297,7 @@ pub fn render_snapshot(snap: &CampaignSnapshot) -> String {
             );
             match &o.trip {
                 Some(t) => {
-                    let _ = write!(out, ",\"trip\":\"{}\"}}", json_escape(t));
+                    let _ = write!(out, ",\"trip\":\"{}\"}}", json::escape(t));
                 }
                 None => out.push_str(",\"trip\":null}"),
             }
@@ -305,7 +306,7 @@ pub fn render_snapshot(snap: &CampaignSnapshot) -> String {
     }
     match &snap.error {
         Some(e) => {
-            let _ = write!(out, ",\"error\":\"{}\"}}", json_escape(e));
+            let _ = write!(out, ",\"error\":\"{}\"}}", json::escape(e));
         }
         None => out.push_str(",\"error\":null}"),
     }

@@ -191,7 +191,7 @@ fn serve_connection(stream: TcpStream, handler: &Handler) {
                 &mut stream,
                 Reply::Full(Response::json(
                     400,
-                    format!("{{\"error\":\"{}\"}}", cornet_obs::json_escape(&e)),
+                    format!("{{\"error\":\"{}\"}}", cornet_types::json::escape(&e)),
                 )),
             );
         }

@@ -16,7 +16,7 @@ use crate::quota::{QuotaBook, QuotaSnapshot};
 use crate::scenario::{report_fingerprint, JournalScenario};
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_core::blast::{campaign_blasts, conflicts_between, BlastConflict, CampaignBlast};
-use cornet_core::{gate, load_bundle};
+use cornet_core::{bundle_from_value, gate, load_bundle};
 use cornet_journal::{CampaignStore, FsyncPolicy, Journal, JournalEvent, Manifest};
 use cornet_obs::Tracer;
 use cornet_orchestrator::{recover_campaign, CampaignControl, DispatchReport, Dispatcher};
@@ -391,7 +391,7 @@ impl CampaignManager {
             Some(value) => JournalScenario::from_json(value).map_err(ApiError::Invalid)?,
             None => JournalScenario::default(),
         };
-        let bundle = load_bundle(body).map_err(|e| ApiError::Invalid(e.to_string()))?;
+        let bundle = bundle_from_value(&spec).map_err(|e| ApiError::Invalid(e.to_string()))?;
         let report = match gate(&bundle) {
             Ok(report) => report,
             Err(report) => {

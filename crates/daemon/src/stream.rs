@@ -20,8 +20,8 @@
 //!
 //! [`JournalScenario`]: crate::scenario::JournalScenario
 
-use cornet_obs::{json_escape, Tracer};
-use cornet_types::json::{parse, JsonValue};
+use cornet_obs::Tracer;
+use cornet_types::json::{self, parse, JsonValue};
 use cornet_types::{Attributes, Inventory, NfType, NodeId, Topology};
 use cornet_verifier::{
     ChangeScope, Expectation, GoNoGo, KpiQuery, StreamConfig, StreamDetection, StreamSample,
@@ -320,7 +320,7 @@ impl StreamHub {
              \"stats\":{{\"accepted\":{},\"shed\":{},\"processed\":{},\
              \"rejected\":{},\"detections\":{}}}",
             session.spec.nodes,
-            json_escape(&session.spec.kpi),
+            json::escape(&session.spec.kpi),
             session.spec.change_minute,
             session.spec.step_minutes,
             session.spec.window,
@@ -349,8 +349,8 @@ impl StreamHub {
                     out,
                     "{{\"node\":\"{}\",\"kpi\":\"{}\",\"timescale\":{},\
                      \"minute\":{},\"delta\":{:.6},\"score\":{:.3}}}",
-                    json_escape(&name),
-                    json_escape(&d.kpi),
+                    json::escape(&name),
+                    json::escape(&d.kpi),
                     d.timescale,
                     d.minute,
                     d.delta,
@@ -369,7 +369,7 @@ impl StreamHub {
                     let _ = write!(
                         out,
                         "{{\"rule\":\"{}\",\"decision\":\"{}\",\"kpis\":[",
-                        json_escape(&report.rule),
+                        json::escape(&report.rule),
                         match report.decision {
                             GoNoGo::Go => "go",
                             GoNoGo::NoGo => "no-go",
@@ -383,7 +383,7 @@ impl StreamHub {
                             out,
                             "{{\"kpi\":\"{}\",\"verdict\":\"{:?}\",\"p_value\":{:e},\
                              \"relative_shift\":{:.6},\"meets_expectation\":{}}}",
-                            json_escape(&kr.query.kpi),
+                            json::escape(&kr.query.kpi),
                             kr.overall.verdict,
                             kr.overall.p_value,
                             kr.overall.relative_shift,
@@ -398,7 +398,7 @@ impl StreamHub {
             Err(e) => {
                 // Not enough data yet (or an integrity failure): surface
                 // it as a field, not an HTTP error — the feed is healthy.
-                let _ = write!(out, "null,\"error\":\"{}\"}}", json_escape(&e.to_string()));
+                let _ = write!(out, "null,\"error\":\"{}\"}}", json::escape(&e.to_string()));
             }
         }
         Some(out)

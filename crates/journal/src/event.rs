@@ -5,15 +5,14 @@
 //! the log can be decoded without any orchestrator types in scope. The
 //! orchestrator owns the translation to and from its richer structures.
 //!
-//! The vendored `serde_json` is a same-process round-trip shim, so events
-//! render their own JSON and decode through `cornet_types::json::parse`.
-//! Numbers that must survive the reader's f64 representation exactly
+//! Events render their own JSON (strings escaped by
+//! `cornet_types::json::escape`) and decode through
+//! `cornet_types::json::parse`. Numbers that must survive the reader's f64 representation exactly
 //! (i64 params, durations in nanoseconds) are carried as strings; the
 //! tagged parameter encoding (`{"i":"42"}` vs `{"f":"42"}`) keeps int and
 //! float values distinct where untagged JSON could not.
 
-use cornet_obs::json_escape;
-use cornet_types::json::{parse, JsonValue};
+use cornet_types::json::{self, parse, JsonValue};
 use cornet_types::{CornetError, ParamValue, Result};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -164,14 +163,14 @@ impl JournalEvent {
                      \"attempts\":{},\"duration_ns\":\"{}\",\"backoff_ns\":\"{}\"",
                     r.node,
                     r.slot,
-                    json_escape(&r.block),
-                    json_escape(&r.status),
+                    json::escape(&r.block),
+                    json::escape(&r.status),
                     r.attempts,
                     r.duration_ns,
                     r.backoff_ns,
                 );
                 if let Some(err) = &r.error {
-                    let _ = write!(s, ",\"error\":\"{}\"", json_escape(err));
+                    let _ = write!(s, ",\"error\":\"{}\"", json::escape(err));
                 }
                 if r.backout {
                     s.push_str(",\"backout\":true");
@@ -188,10 +187,10 @@ impl JournalEvent {
                 let _ = write!(
                     s,
                     ",\"node\":{node},\"slot\":{slot},\"status\":\"{}\"",
-                    json_escape(status)
+                    json::escape(status)
                 );
                 if let Some(d) = detail {
-                    let _ = write!(s, ",\"detail\":\"{}\"", json_escape(d));
+                    let _ = write!(s, ",\"detail\":\"{}\"", json::escape(d));
                 }
             }
             JournalEvent::BreakerTripped {
@@ -202,7 +201,7 @@ impl JournalEvent {
                 let _ = write!(
                     s,
                     ",\"block\":\"{}\",\"failure_rate\":\"{failure_rate}\",\"samples\":{samples}",
-                    json_escape(block)
+                    json::escape(block)
                 );
             }
             JournalEvent::CampaignClosed => {}
@@ -326,7 +325,7 @@ fn encode_string_map(s: &mut String, map: &BTreeMap<String, String>) {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+        let _ = write!(s, "\"{}\":\"{}\"", json::escape(k), json::escape(v));
     }
     s.push('}');
 }
@@ -352,7 +351,7 @@ fn encode_state(s: &mut String, state: &StateMap) {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "\"{}\":", json_escape(k));
+        let _ = write!(s, "\"{}\":", json::escape(k));
         encode_param(s, v);
     }
     s.push('}');
@@ -364,7 +363,7 @@ fn encode_state(s: &mut String, state: &StateMap) {
 fn encode_param(s: &mut String, v: &ParamValue) {
     match v {
         ParamValue::Str(x) => {
-            let _ = write!(s, "{{\"s\":\"{}\"}}", json_escape(x));
+            let _ = write!(s, "{{\"s\":\"{}\"}}", json::escape(x));
         }
         ParamValue::Int(x) => {
             let _ = write!(s, "{{\"i\":\"{x}\"}}");

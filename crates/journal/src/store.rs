@@ -21,8 +21,7 @@
 //! write leaves an empty shell that never held journal records).
 
 use crate::writer::Journal;
-use cornet_obs::json_escape;
-use cornet_types::json::{parse, JsonValue};
+use cornet_types::json::{self, parse, JsonValue};
 use cornet_types::{CornetError, Result};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -49,15 +48,15 @@ impl Manifest {
         let _ = write!(
             out,
             "{{\"id\":\"{}\",\"tenant\":\"{}\",\"name\":\"{}\",\"meta\":{{",
-            json_escape(&self.id),
-            json_escape(&self.tenant),
-            json_escape(&self.name)
+            json::escape(&self.id),
+            json::escape(&self.tenant),
+            json::escape(&self.name)
         );
         for (i, (k, v)) in self.meta.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+            let _ = write!(out, "\"{}\":\"{}\"", json::escape(k), json::escape(v));
         }
         out.push_str("}}");
         out
@@ -66,25 +65,19 @@ impl Manifest {
     /// Parse a manifest from its JSON text.
     pub fn decode(text: &str) -> Result<Manifest> {
         let value = parse(text)?;
-        if value.entries().is_none() {
-            return Err(CornetError::Parse("manifest: not an object".into()));
-        }
-        let field = |name: &str| -> Result<String> {
-            value
-                .get(name)
-                .and_then(|v| v.as_str())
-                .map(str::to_owned)
-                .ok_or_else(|| CornetError::Parse(format!("manifest: missing string {name:?}")))
+        let field = |name: &str| value.field(name, |v| v.as_str().map(str::to_owned));
+        let meta = match value.get("meta") {
+            Some(JsonValue::Object(pairs)) => pairs
+                .iter()
+                .map(|(k, v)| {
+                    let v = v.as_str().ok_or_else(|| {
+                        CornetError::Parse(format!("manifest: meta {k:?} is not a string"))
+                    })?;
+                    Ok((k.clone(), v.to_owned()))
+                })
+                .collect::<Result<_>>()?,
+            _ => BTreeMap::new(),
         };
-        let mut meta = BTreeMap::new();
-        if let Some(JsonValue::Object(pairs)) = value.get("meta") {
-            for (k, v) in pairs {
-                let v = v.as_str().ok_or_else(|| {
-                    CornetError::Parse(format!("manifest: meta {k:?} is not a string"))
-                })?;
-                meta.insert(k.clone(), v.to_owned());
-            }
-        }
         Ok(Manifest {
             id: field("id")?,
             tenant: field("tenant")?,

@@ -6,11 +6,10 @@
 //! the solver's propagators and all property tests are validated against.
 
 use crate::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Comparison operator for linear constraints.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// `≤`
     Le,
@@ -40,7 +39,7 @@ impl CmpOp {
 }
 
 /// One `coeff · var` term of a linear expression.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinTerm {
     /// Coefficient.
     pub coeff: i64,
@@ -53,7 +52,7 @@ pub struct LinTerm {
 /// Variables take values in `0..=T` where 0 means *unscheduled* and
 /// `1..=T` are timeslots. Constraints that quantify "per slot" skip value 0
 /// — an unscheduled node consumes no capacity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Constraint {
     /// Weighted capacity per granule of `block` consecutive slots: for
     /// every granule `g`, `Σ weight[i] · [vars[i] ∈ g] ≤ cap(g)` — the

@@ -31,10 +31,8 @@ pub use constraint::{CmpOp, Constraint, LinTerm};
 pub use objective::{Objective, VarCost};
 pub use stats::ModelStats;
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a decision variable inside a [`Model`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -46,7 +44,7 @@ impl VarId {
 }
 
 /// An integer decision variable with a contiguous initial domain.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntVar {
     /// Name used in emitted MiniZinc and diagnostics.
     pub name: String,
@@ -64,7 +62,7 @@ impl IntVar {
 }
 
 /// A complete constraint model: variables, constraints, objective.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Model {
     /// Model name (appears in emitted text).
     pub name: String,

@@ -8,11 +8,10 @@
 //! computation trivial (sum of per-variable domain minima).
 
 use crate::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cost contribution of one variable: `slope · value + table[value]`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarCost {
     /// Linear coefficient on the assigned value (completion-time pressure:
     /// later slots cost more). Usually the node weight.
@@ -30,7 +29,7 @@ impl VarCost {
 }
 
 /// Total minimization objective.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Objective {
     /// Per-variable cost tables, keyed by variable.
     pub terms: BTreeMap<VarId, VarCost>,

@@ -14,7 +14,6 @@
 use crate::rng::{normal, seeded, weighted_pick};
 use cornet_types::{ChangeTicket, ChangeType, NodeId, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-change-type parameters of the generator (Table 1 row).
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// blanket reservation multiplies the body by `tail_mult` — the pattern
 /// behind construction work's enormous variance in Table 6 (σ 36.9 on a
 /// mean of 4.1 without CORNET's short-reservation policy).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChangeTypeProfile {
     /// Change category.
     pub change_type: ChangeType,
@@ -38,7 +37,7 @@ pub struct ChangeTypeProfile {
 }
 
 /// Generator configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChangeLogConfig {
     /// RNG seed.
     pub seed: u64,
@@ -137,7 +136,7 @@ pub fn generate_change_log(
 }
 
 /// Aggregate duration statistics per change type (Table 1 / Table 6 rows).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChangeMixRow {
     /// Change category.
     pub change_type: ChangeType,
@@ -176,7 +175,7 @@ pub fn change_mix(log: &[ChangeTicket]) -> Vec<ChangeMixRow> {
 }
 
 /// Which planner shaped a network-wide roll-out (Fig. 5 comparison).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RolloutPlanner {
     /// CORNET's conflict-free global plan: compact run phase, short tail
     /// (stragglers were placed early by the global view).
@@ -186,7 +185,7 @@ pub enum RolloutPlanner {
 }
 
 /// Staggered roll-out shape parameters (Fig. 1's phases).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RolloutConfig {
     /// RNG seed.
     pub seed: u64,

@@ -13,10 +13,9 @@ use crate::rng::seeded;
 use cornet_types::{Attributes, Inventory, NfType, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Sizing knobs for the generated radio access network.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkConfig {
     /// RNG seed; equal seeds produce identical networks.
     pub seed: u64,

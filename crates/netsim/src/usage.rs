@@ -8,10 +8,9 @@
 use crate::rng::{seeded, weighted_pick};
 use cornet_types::ChangeType;
 use rand::Rng;
-use serde::Serialize;
 
 /// One month of KPI-definition activity (Fig. 6).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KpiActivityMonth {
     /// Months since the start of the observation window (0 = Jan 2018).
     pub month: usize,
@@ -107,7 +106,7 @@ pub fn control_group_usage(seed: u64, total_queries: usize) -> Vec<(&'static str
 }
 
 /// One Table 4 row: yearly verification usage for a change type.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VerificationUsageRow {
     /// Change category.
     pub change_type: ChangeType,

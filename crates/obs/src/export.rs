@@ -13,11 +13,11 @@
 //!
 //! Rendering is deterministic: field order is fixed, spans render in
 //! finish order, metrics name-sorted — the property the golden-file test
-//! pins. No external JSON crate is involved (the vendored `serde_json`
-//! is a stub); values are escaped by hand exactly like the intent
-//! reader's grammar expects.
+//! pins. Strings are escaped by `cornet_types::json::escape`, the
+//! workspace's one JSON escaper.
 
 use crate::span::{AttrValue, Span, SpanId, Trace};
+use cornet_types::json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -32,40 +32,11 @@ pub trait TraceSink {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an f64 as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
 fn json_attr_value(v: &AttrValue) -> String {
     match v {
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
+        AttrValue::Str(s) => format!("\"{}\"", json::escape(s)),
         AttrValue::Int(i) => format!("{i}"),
-        AttrValue::Float(x) => json_f64(*x),
+        AttrValue::Float(x) => json::number(*x),
         AttrValue::Bool(b) => format!("{b}"),
     }
 }
@@ -76,7 +47,7 @@ fn json_attrs(attrs: &[(&'static str, AttrValue)]) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\": {}", json_escape(k), json_attr_value(v));
+        let _ = write!(out, "\"{}\": {}", json::escape(k), json_attr_value(v));
     }
     out.push('}');
     out
@@ -100,7 +71,7 @@ impl TraceSink for JsonLinesSink {
                  \"start_ns\": {}, \"end_ns\": {}, \"attrs\": {}}}",
                 s.id.0,
                 parent,
-                json_escape(&s.name),
+                json::escape(&s.name),
                 s.start_ns,
                 s.end_ns,
                 json_attrs(&s.attrs),
@@ -110,24 +81,24 @@ impl TraceSink for JsonLinesSink {
             let _ = writeln!(
                 out,
                 "{{\"type\": \"counter\", \"name\": \"{}\", \"value\": {}}}",
-                json_escape(name),
+                json::escape(name),
                 value
             );
         }
         for (name, h) in &trace.metrics.histograms {
-            let bounds: Vec<String> = h.bounds.iter().map(|b| json_f64(*b)).collect();
+            let bounds: Vec<String> = h.bounds.iter().map(|b| json::number(*b)).collect();
             let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
             let _ = writeln!(
                 out,
                 "{{\"type\": \"histogram\", \"name\": \"{}\", \"bounds\": [{}], \
                  \"counts\": [{}], \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json_escape(name),
+                json::escape(name),
                 bounds.join(", "),
                 counts.join(", "),
                 h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
+                json::number(h.sum),
+                json::number(h.min),
+                json::number(h.max),
             );
         }
         out
@@ -189,14 +160,14 @@ impl TraceSink for ChromeTraceSink {
                 let _ = write!(args, ", \"parent_id\": {}", p.0);
             }
             for (k, v) in &s.attrs {
-                let _ = write!(args, ", \"{}\": {}", json_escape(k), json_attr_value(v));
+                let _ = write!(args, ", \"{}\": {}", json::escape(k), json_attr_value(v));
             }
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"cat\": \"cornet\", \"ph\": \"X\", \
                  \"ts\": {ts:.3}, \"dur\": {dur:.3}, \"pid\": 1, \"tid\": {}, \
                  \"args\": {{{args}}}}}",
-                json_escape(&s.name),
+                json::escape(&s.name),
                 tid_of[&roots[&s.id]],
             );
             out.push_str(if i + 1 < trace.spans.len() {
@@ -211,7 +182,7 @@ impl TraceSink for ChromeTraceSink {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\": {}", json_escape(name), value);
+            let _ = write!(out, "\"{}\": {}", json::escape(name), value);
         }
         out.push_str("},\n    \"histograms\": {");
         for (i, (name, h)) in trace.metrics.histograms.iter().enumerate() {
@@ -221,11 +192,11 @@ impl TraceSink for ChromeTraceSink {
             let _ = write!(
                 out,
                 "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json_escape(name),
+                json::escape(name),
                 h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
+                json::number(h.sum),
+                json::number(h.min),
+                json::number(h.max),
             );
         }
         out.push_str("}\n  }\n}\n");
@@ -285,29 +256,7 @@ mod tests {
         assert!(body.contains("\"recovered\": true"));
         // Both spans share the root's track.
         assert_eq!(body.matches("\"tid\": 1").count(), 2);
-        // Structural sanity: balanced braces/brackets outside strings.
-        let (mut depth, mut brackets, mut in_str, mut esc) = (0i64, 0i64, false, false);
-        for c in body.chars() {
-            if in_str {
-                match (esc, c) {
-                    (true, _) => esc = false,
-                    (false, '\\') => esc = true,
-                    (false, '"') => in_str = false,
-                    _ => {}
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                '[' => brackets += 1,
-                ']' => brackets -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0 && brackets >= 0);
-        }
-        assert_eq!((depth, brackets, in_str), (0, 0, false));
+        json::parse(&body).expect("Chrome trace is valid JSON");
     }
 
     #[test]
@@ -329,11 +278,5 @@ mod tests {
         let body = ChromeTraceSink.render(&t.snapshot());
         assert!(body.contains("\"tid\": 1"));
         assert!(body.contains("\"tid\": 2"));
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

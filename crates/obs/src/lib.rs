@@ -1,7 +1,7 @@
 //! CORNET observability: spans, metrics, exportable traces.
 //!
-//! This crate is the repo's tracing seam. It is deliberately
-//! dependency-free (the container vendors stub crates only) and cheap
+//! This crate is the repo's tracing seam. It depends only on
+//! `cornet-types` (for the JSON escaper its exporters share) and is cheap
 //! enough to leave compiled into every subsystem:
 //!
 //! * [`Tracer`] — a cloneable handle that is either *attached* (records
@@ -50,7 +50,7 @@ pub mod span;
 pub mod summary;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use export::{json_escape, write_trace, ChromeTraceSink, JsonLinesSink, TraceSink};
+pub use export::{write_trace, ChromeTraceSink, JsonLinesSink, TraceSink};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS_MS};
 pub use span::{ActiveSpan, AttrValue, Span, SpanId, Trace, Tracer};
 pub use summary::{SpanKindStats, TraceSummary};

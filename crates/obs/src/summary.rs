@@ -110,8 +110,7 @@ impl TraceSummary {
     }
 
     /// Deterministic JSON object mapping span kind → stats, for embedding
-    /// in BENCH reports (rendered by hand; the vendored `serde_json` is a
-    /// stub).
+    /// in BENCH reports.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         for (i, k) in self.kinds.iter().enumerate() {
@@ -122,7 +121,7 @@ impl TraceSummary {
                 out,
                 "\"{}\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
                  \"max_ms\": {:.3}, \"total_ms\": {:.3}}}",
-                crate::export::json_escape(&k.name),
+                cornet_types::json::escape(&k.name),
                 k.count,
                 k.p50_ms,
                 k.p95_ms,

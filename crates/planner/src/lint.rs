@@ -16,10 +16,9 @@
 use crate::intent::{ConstraintRule, PlanIntent};
 use cornet_analysis::{Code, Diagnostic, Report, Severity, SourceRef};
 use cornet_types::{Inventory, NodeId, Result};
-use serde::Serialize;
 
 /// Severity of a lint finding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LintLevel {
     /// The intent cannot produce a meaningful plan.
     Error,
@@ -28,7 +27,7 @@ pub enum LintLevel {
 }
 
 /// One lint finding with an operator-facing explanation.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LintFinding {
     /// Severity.
     pub level: LintLevel,
@@ -39,7 +38,7 @@ pub struct LintFinding {
 }
 
 /// Lint report for one intent over a node scope.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LintReport {
     /// Findings, errors first.
     pub findings: Vec<LintFinding>,

@@ -11,10 +11,10 @@
 //! the delta is actually searched. With an empty delta the re-solve
 //! expands a single node and returns the prior plan bit-identically.
 
-use crate::json::{parse, JsonValue};
 use crate::plan::PlanResult;
 use crate::translate::Translation;
 use cornet_solver::search::WarmStartHint;
+use cornet_types::json::{escape, parse, JsonValue};
 use cornet_types::{CornetError, Inventory, Result};
 use std::collections::BTreeMap;
 
@@ -37,22 +37,6 @@ pub struct PlanSnapshot {
     pub assignments: Vec<(String, u32)>,
     /// Nodes the producing run left unscheduled.
     pub leftovers: Vec<String>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl PlanSnapshot {
@@ -84,8 +68,8 @@ impl PlanSnapshot {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"schema\": \"{PLAN_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"backend\": \"{}\",\n", esc(&self.backend)));
-        out.push_str(&format!("  \"outcome\": \"{}\",\n", esc(&self.outcome)));
+        out.push_str(&format!("  \"backend\": \"{}\",\n", escape(&self.backend)));
+        out.push_str(&format!("  \"outcome\": \"{}\",\n", escape(&self.outcome)));
         out.push_str("  \"assignments\": [");
         for (i, (name, slot)) in self.assignments.iter().enumerate() {
             if i > 0 {
@@ -93,7 +77,7 @@ impl PlanSnapshot {
             }
             out.push_str(&format!(
                 "\n    {{\"node\": \"{}\", \"slot\": {slot}}}",
-                esc(name)
+                escape(name)
             ));
         }
         if !self.assignments.is_empty() {
@@ -104,7 +88,7 @@ impl PlanSnapshot {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", esc(name)));
+            out.push_str(&format!("\"{}\"", escape(name)));
         }
         out.push_str("]\n}\n");
         out

@@ -7,13 +7,11 @@
 
 use crate::id::NodeId;
 use crate::time::{SimTime, Timeslot};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Category of a network change (Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ChangeType {
     /// Software upgrade of a node.
     SoftwareUpgrade,
@@ -61,7 +59,7 @@ impl fmt::Display for ChangeType {
 }
 
 /// A change to be planned and executed on a set of nodes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChangeRequest {
     /// Ticket-style identifier, e.g. `"CHG000005482383"`.
     pub ticket: String,
@@ -93,7 +91,7 @@ impl ChangeRequest {
 }
 
 /// An executed (or scheduled) change on one node — a row of the change log.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChangeTicket {
     /// Ticket identifier shared by all nodes of one change activity.
     pub ticket: String,
@@ -109,7 +107,7 @@ pub struct ChangeTicket {
 
 /// A busy period from the ticketing system: the node cannot take other
 /// changes while an existing ticket occupies it (Listing 1 lines 42–63).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConflictEntry {
     /// Start of the busy period (inclusive).
     pub start: SimTime,
@@ -127,7 +125,7 @@ impl ConflictEntry {
 }
 
 /// Per-node busy periods extracted from the ticketing system.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConflictTable {
     entries: BTreeMap<NodeId, Vec<ConflictEntry>>,
 }
@@ -175,7 +173,7 @@ impl ConflictTable {
 
 /// A discovered schedule: one timeslot per node, plus leftovers that did
 /// not fit in the scheduling window (Algorithm 1 lines 8–10).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
     /// Node → assigned slot. Nodes absent from the map are unscheduled.
     pub assignments: BTreeMap<NodeId, Timeslot>,

@@ -4,14 +4,13 @@
 //! instance (§3.3.2). We represent it as a dense `NodeId` so that planner
 //! and solver data structures can be flat vectors indexed by id.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a network-function instance (the paper's `common_id`).
 ///
 /// Ids are assigned densely from 0 by [`crate::inventory::Inventory`], so a
 /// `NodeId` can index flat `Vec`s without hashing.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

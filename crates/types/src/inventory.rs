@@ -9,11 +9,10 @@
 use crate::attr::{AttrValue, Attributes};
 use crate::id::NodeId;
 use crate::nf::NfType;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One network-function instance and its attributes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InventoryRecord {
     /// Dense instance id (the paper's `common_id`).
     pub id: NodeId,
@@ -39,7 +38,7 @@ impl InventoryRecord {
 }
 
 /// Collection of inventory records with dense ids and attribute indexes.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Inventory {
     records: Vec<InventoryRecord>,
 }

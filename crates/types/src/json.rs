@@ -1,15 +1,17 @@
-//! Minimal recursive-descent JSON reader for externally authored text.
+//! The workspace's JSON module: a recursive-descent reader and a small
+//! writer, with no dependencies.
 //!
-//! The workspace runs in offline containers whose vendored `serde_json` is
-//! a same-process round-trip shim; it cannot parse JSON text arriving from
-//! outside (intent files handed to the CLI, check bundles, baselines, the
-//! Listing 1 corpus baked into tests). This module is a small,
-//! dependency-free JSON reader covering objects, arrays, strings (with
-//! escapes), numbers, booleans and null. Consumers that accept external
-//! JSON (the planner's intent API, the static-analysis bundle loader) try
-//! `serde_json` first and fall back to this reader.
+//! [`parse`] reads externally authored text — intent files handed to the
+//! CLI, check bundles, baselines, daemon request bodies, journal records —
+//! covering objects, arrays, strings (with escapes), numbers, booleans and
+//! null. Every JSON document the workspace emits escapes its strings with
+//! [`escape`] or [`write_str`]. [`to_canonical`] renders a [`JsonValue`]
+//! canonically (object keys sorted, no whitespace, one number format), so
+//! equal values always give equal bytes — the WAR content digest is taken
+//! over that encoding.
 
 use crate::{CornetError, Result};
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object keys keep their source order so downstream
 /// consumers (e.g. frozen-element selectors) see deterministic iteration.
@@ -38,10 +40,30 @@ impl JsonValue {
         }
     }
 
+    /// `pick` applied to the value at `key` of this object — a parse error
+    /// naming `key` when the key is missing or `pick` rejects its value.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        pick: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T> {
+        self.get(key)
+            .and_then(pick)
+            .ok_or_else(|| CornetError::Parse(format!("JSON field {key:?} missing or malformed")))
+    }
+
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -69,6 +91,98 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+/// Append `s` to `out` escaped for the inside of a JSON string literal:
+/// `"`, `\`, newline, carriage return and tab get their short escapes,
+/// other control characters `\u00xx`; everything else is copied as UTF-8.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// `s` escaped for the inside of a JSON string literal (no quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` as a quoted JSON string literal.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// `n` as a JSON number: Rust's shortest round-trip decimal (`3`, `0.25`,
+/// `1e-7` as `0.0000001`), or `null` for the non-finite numbers JSON
+/// cannot represent.
+pub fn number(n: f64) -> String {
+    if n.is_finite() {
+        n.to_string()
+    } else {
+        "null".into()
+    }
+}
+
+/// The canonical encoding of `value`: no whitespace, object entries sorted
+/// by key (stable for duplicate keys), numbers as [`number`] writes them.
+pub fn to_canonical(value: &JsonValue) -> String {
+    fn write(out: &mut String, value: &JsonValue) {
+        match value {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => out.push_str(&number(*n)),
+            JsonValue::String(s) => write_str(out, s),
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write(out, item);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(entries) => {
+                let mut sorted: Vec<&(String, JsonValue)> = entries.iter().collect();
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                out.push('{');
+                for (i, (k, v)) in sorted.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    write(out, v);
+                }
+                out.push('}');
+            }
+        }
+    }
+    let mut out = String::new();
+    write(&mut out, value);
+    out
 }
 
 /// Parse a JSON document. The whole input must be consumed (trailing
@@ -236,13 +350,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy the full UTF-8 sequence starting here.
+                    // Copy the run up to the next delimiter in one slice.
+                    // Both delimiters are ASCII, so a run never splits a
+                    // UTF-8 sequence.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -293,6 +412,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -345,5 +465,72 @@ mod tests {
             JsonValue::String("😀".into()),
             "raw multi-byte UTF-8 passes through"
         );
+    }
+
+    #[test]
+    fn escape_handles_control_chars() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}\t\r\u{7f}é"), "\\u0001\\t\\r\u{7f}é");
+        let mut out = String::new();
+        write_str(&mut out, "q\"");
+        assert_eq!(out, "\"q\\\"\"");
+    }
+
+    #[test]
+    fn canonical_encoding_sorts_keys_and_fixes_number_format() {
+        let v =
+            parse(r#"{"b": [1, 0.5, 1e-7, -0, true, null], "a": {"z": "x", "y": {}}}"#).unwrap();
+        assert_eq!(
+            to_canonical(&v),
+            r#"{"a":{"y":{},"z":"x"},"b":[1,0.5,0.0000001,-0,true,null]}"#
+        );
+        assert_eq!(to_canonical(&JsonValue::Number(f64::NAN)), "null");
+        assert_eq!(
+            parse(&to_canonical(&v)).map(|w| to_canonical(&w)),
+            Ok(to_canonical(&v))
+        );
+    }
+
+    /// Strings mixing the characters the writer must escape, multi-byte
+    /// UTF-8 and random code points (mostly outside the BMP).
+    fn arb_string() -> impl Strategy<Value = String> {
+        const POOL: [char; 12] = [
+            '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '\u{2028}', '😀',
+        ];
+        (any::<u64>(), 0usize..48).prop_map(|(mut seed, len)| {
+            (0..len)
+                .map(|_| {
+                    seed = seed
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let r = (seed >> 33) as u32;
+                    if r.is_multiple_of(3) {
+                        POOL[(r / 3) as usize % POOL.len()]
+                    } else {
+                        char::from_u32(r % 0x11_0000).unwrap_or('\u{fffd}')
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn writer_output_reads_back(s in arb_string()) {
+            let mut text = String::new();
+            write_str(&mut text, &s);
+            prop_assert!(text.chars().all(|c| c >= ' '), "raw control character in {:?}", text);
+            prop_assert_eq!(parse(&text).unwrap(), JsonValue::String(s.clone()));
+            // Every code unit written as `\uXXXX`: non-BMP characters
+            // become surrogate pairs, which the reader must recombine.
+            let mut utf16 = String::from("\"");
+            for unit in s.encode_utf16() {
+                let _ = write!(utf16, "\\u{unit:04X}");
+            }
+            utf16.push('"');
+            prop_assert_eq!(parse(&utf16).unwrap(), JsonValue::String(s));
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! domain types (change types, tickets, conflict tables).
 //!
 //! Every other crate in the workspace builds on these types, so this crate
-//! deliberately has no dependency on the rest of CORNET and only depends on
-//! `serde` for interchange (the paper's user-facing intent API is JSON).
+//! deliberately has no dependencies. It also holds the workspace's one JSON
+//! reader and writer ([`json`]): the paper's user-facing intent API is JSON.
 
 #![forbid(unsafe_code)]
 pub mod attr;

@@ -7,13 +7,13 @@
 //! while `ParamValue` is the runtime value carried in the workflow's global
 //! state.
 
-use serde::{Deserialize, Serialize};
+use crate::json::JsonValue;
+use crate::{CornetError, Result};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Static type of a building-block parameter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ParamType {
     /// UTF-8 text (node names, software versions, status strings).
     String,
@@ -29,9 +29,37 @@ pub enum ParamType {
     Map,
 }
 
+impl ParamType {
+    /// Every type, in declaration order.
+    pub const ALL: [ParamType; 6] = [
+        ParamType::String,
+        ParamType::Int,
+        ParamType::Float,
+        ParamType::Bool,
+        ParamType::List,
+        ParamType::Map,
+    ];
+
+    /// Lower-case name used in JSON documents (`"string"`, `"int"`, …).
+    pub fn name(self) -> &'static str {
+        match self {
+            ParamType::String => "string",
+            ParamType::Int => "int",
+            ParamType::Float => "float",
+            ParamType::Bool => "bool",
+            ParamType::List => "list",
+            ParamType::Map => "map",
+        }
+    }
+
+    /// The type with this [`ParamType::name`].
+    pub fn from_name(name: &str) -> Option<ParamType> {
+        ParamType::ALL.into_iter().find(|t| t.name() == name)
+    }
+}
+
 /// Runtime value of a building-block parameter.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
     /// Text value.
     Str(String),
@@ -106,6 +134,63 @@ impl ParamValue {
         match self {
             ParamValue::Map(m) => Some(m),
             _ => None,
+        }
+    }
+
+    /// Convert a parsed JSON document into a workflow-state value — the
+    /// entry point for feeding intents (or any operator-supplied document)
+    /// into a workflow's global state. Whole numbers within `i64` range
+    /// become `Int`, other numbers `Float`. JSON `null` has no `ParamValue`
+    /// analogue and is rejected.
+    pub fn from_json_value(value: &JsonValue) -> Result<ParamValue> {
+        Ok(match value {
+            JsonValue::Null => {
+                return Err(CornetError::Parse(
+                    "JSON null has no workflow-state representation".into(),
+                ))
+            }
+            JsonValue::Bool(b) => ParamValue::Bool(*b),
+            JsonValue::Number(n) => {
+                if n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(n) {
+                    ParamValue::Int(*n as i64)
+                } else {
+                    ParamValue::Float(*n)
+                }
+            }
+            JsonValue::String(s) => ParamValue::Str(s.clone()),
+            JsonValue::Array(items) => ParamValue::List(
+                items
+                    .iter()
+                    .map(ParamValue::from_json_value)
+                    .collect::<Result<_>>()?,
+            ),
+            JsonValue::Object(entries) => ParamValue::Map(
+                entries
+                    .iter()
+                    .map(|(k, v)| Ok((k.clone(), ParamValue::from_json_value(v)?)))
+                    .collect::<Result<_>>()?,
+            ),
+        })
+    }
+
+    /// The value as JSON — the inverse of [`ParamValue::from_json_value`],
+    /// used to hand state values to JSON-speaking consumers such as the
+    /// planner's intent reader.
+    pub fn to_json_value(&self) -> JsonValue {
+        match self {
+            ParamValue::Str(s) => JsonValue::String(s.clone()),
+            ParamValue::Int(i) => JsonValue::Number(*i as f64),
+            ParamValue::Float(f) => JsonValue::Number(*f),
+            ParamValue::Bool(b) => JsonValue::Bool(*b),
+            ParamValue::List(items) => {
+                JsonValue::Array(items.iter().map(ParamValue::to_json_value).collect())
+            }
+            ParamValue::Map(entries) => JsonValue::Object(
+                entries
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.to_json_value()))
+                    .collect(),
+            ),
         }
     }
 }
@@ -206,13 +291,27 @@ mod tests {
     }
 
     #[test]
-    fn serde_untagged_round_trip() {
-        // The vendored serde_json is a same-process round-trip shim; it
-        // does not emit literal JSON text, so assert on the round-trip.
-        let v = ParamValue::List(vec![ParamValue::from(1i64), ParamValue::from("two")]);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: ParamValue = serde_json::from_str(&json).unwrap();
+    fn json_round_trip() {
+        let mut m = BTreeMap::new();
+        m.insert("ok".to_string(), ParamValue::from(true));
+        m.insert("ratio".to_string(), ParamValue::from(0.25));
+        let v = ParamValue::List(vec![
+            ParamValue::from(1i64),
+            ParamValue::from("two"),
+            ParamValue::Map(m),
+        ]);
+        let text = crate::json::to_canonical(&v.to_json_value());
+        assert_eq!(text, r#"[1,"two",{"ok":true,"ratio":0.25}]"#);
+        let back = ParamValue::from_json_value(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, v);
-        assert_eq!(back.param_type(), ParamType::List);
+        assert!(ParamValue::from_json_value(&JsonValue::Null).is_err());
+    }
+
+    #[test]
+    fn type_names_round_trip() {
+        for t in ParamType::ALL {
+            assert_eq!(ParamType::from_name(t.name()), Some(t));
+        }
+        assert_eq!(ParamType::from_name("text"), None);
     }
 }

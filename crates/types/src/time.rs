@@ -6,14 +6,13 @@
 //! Gregorian conversion so the workspace needs no external date crate.
 
 use crate::error::CornetError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Minutes in one day.
 pub const MINUTES_PER_DAY: u64 = 24 * 60;
 
 /// A point in simulated civil time, stored as minutes since the Unix epoch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -150,8 +149,7 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 /// Calendar unit of a granularity specification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TimeUnit {
     /// One minute.
     Minute,
@@ -176,7 +174,7 @@ impl TimeUnit {
 }
 
 /// Granularity of a timeslot or constraint, e.g. `{"metric":"day","value":1}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Granularity {
     /// Calendar unit.
     pub metric: TimeUnit,
@@ -202,7 +200,7 @@ impl Granularity {
 }
 
 /// Nightly window during which changes may execute (e.g. 00:00–06:00 local).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MaintenanceWindow {
     /// Start minute-of-day (inclusive).
     pub start_minute: u32,
@@ -242,7 +240,7 @@ impl Default for MaintenanceWindow {
 /// Discrete schedulable slot index, 1-based to match the paper's models.
 ///
 /// Slot 0 is reserved to mean "unscheduled" in solver encodings.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timeslot(pub u32);
 
 impl Timeslot {
@@ -280,7 +278,7 @@ impl fmt::Debug for Timeslot {
 ///
 /// Mirrors Listing 1: a start/end instant, a slot granularity, the nightly
 /// maintenance window, and excluded periods (holidays, Super Bowl, …).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SchedulingWindow {
     /// First instant of the window (inclusive).
     pub start: SimTime,

@@ -6,12 +6,11 @@
 //! second-hop neighbors, §3.5.1, Fig. 14).
 
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Undirected connectivity graph over inventory nodes plus named service
 /// chains (ordered node sequences, §2.2).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// Adjacency lists, indexed by `NodeId`. Kept sorted and deduplicated.
     adjacency: Vec<Vec<NodeId>>,
@@ -20,7 +19,7 @@ pub struct Topology {
 }
 
 /// An ordered sequence of nodes traffic traverses (e.g. CPE → vGW → vVIG).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceChain {
     /// Chain name, e.g. `"sdwan-zone3-chain-12"`.
     pub name: String,

@@ -8,11 +8,9 @@
 //! control-group criterion, and the timescales to test.
 
 use crate::control::ControlSelection;
-use serde::{Deserialize, Serialize};
 
 /// Expected impact of the change on a KPI.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Expectation {
     /// The KPI should improve.
     Improve,
@@ -25,7 +23,7 @@ pub enum Expectation {
 }
 
 /// One KPI query inside a rule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KpiQuery {
     /// KPI name in the data adapter.
     pub kpi: String,
@@ -34,7 +32,6 @@ pub struct KpiQuery {
     /// Expected impact of this change on the KPI.
     pub expected: Expectation,
     /// Carrier frequency confinement, if any (Fig. 2's per-carrier view).
-    #[serde(default)]
     pub carrier: Option<usize>,
 }
 
@@ -61,7 +58,7 @@ impl KpiQuery {
 }
 
 /// A composed verification rule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VerificationRule {
     /// Rule name, e.g. `"sw-20.1-scorecard"`.
     pub name: String,
@@ -69,12 +66,10 @@ pub struct VerificationRule {
     pub kpis: Vec<KpiQuery>,
     /// Inventory attributes to aggregate impacts by (empty = one global
     /// aggregate). Fig. 13's composition of location attributes.
-    #[serde(default)]
     pub location_attributes: Vec<String>,
     /// Control-group criterion.
     pub control: ControlSelection,
     /// Optional attribute controls must share with the study group.
-    #[serde(default)]
     pub control_attr_filter: Option<String>,
     /// Resampling factors to test (1 = native granularity; 24 = daily
     /// over hourly data). Multiple timescales catch both massive fast
@@ -86,7 +81,6 @@ pub struct VerificationRule {
     /// shifts smaller than this report as no-impact. Operations teams tune
     /// this per rule — a scorecard KPI may care about 1%, an FFA gate
     /// about 5%.
-    #[serde(default = "default_min_relative_shift")]
     pub min_relative_shift: f64,
 }
 
@@ -129,23 +123,6 @@ mod tests {
         assert_eq!(r.control, ControlSelection::FirstTier);
         assert_eq!(r.timescales, vec![1, 24]);
         assert!(r.alpha < 0.05);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = VerificationRule {
-            name: "r".into(),
-            kpis: vec![KpiQuery::monitor("thr", true)],
-            location_attributes: vec!["market".into()],
-            control: ControlSelection::SameAttribute("hw_version".into()),
-            control_attr_filter: Some("market".into()),
-            timescales: vec![1],
-            alpha: 0.05,
-            min_relative_shift: 0.02,
-        };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: VerificationRule = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! exclusive gateways branching on a boolean variable in the workflow's
 //! global state; variables flow between blocks through that state.
 
-use cornet_types::ParamType;
-use serde::{Deserialize, Serialize};
+use cornet_types::json::JsonValue;
+use cornet_types::{CornetError, ParamType, Result};
 
 /// Node handle inside one workflow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -20,7 +20,7 @@ impl NodeId {
 }
 
 /// What a workflow node does.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// Entry point (exactly one per workflow).
     Start,
@@ -39,7 +39,7 @@ pub enum NodeKind {
 }
 
 /// One node of the workflow graph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkflowNode {
     /// Handle of the node.
     pub id: NodeId,
@@ -50,7 +50,7 @@ pub struct WorkflowNode {
 }
 
 /// Directed edge; decision out-edges carry a boolean guard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkflowEdge {
     /// Source node.
     pub from: NodeId,
@@ -63,7 +63,7 @@ pub struct WorkflowEdge {
 
 /// Declared parameter of the workflow itself (its start inputs / end
 /// outputs), e.g. Fig. 4's `(node, software_version) → status`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkflowParam {
     /// Parameter name in the global state.
     pub name: String,
@@ -72,7 +72,7 @@ pub struct WorkflowParam {
 }
 
 /// A change workflow (the paper's MOP as a graph).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Workflow {
     /// Workflow name, e.g. `"software_upgrade_v2"`.
     pub name: String,
@@ -88,7 +88,6 @@ pub struct Workflow {
     /// backout steps. On a permanent block failure the engine executes
     /// this workflow over the instance's current global state and reports
     /// the instance as rolled back when it completes.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub backout: Option<Box<Workflow>>,
 }
 
@@ -157,6 +156,125 @@ impl Workflow {
         self.backout = Some(Box::new(backout));
     }
 
+    /// The workflow as JSON — the WAR payload format. Nodes are
+    /// `{"id", "label", "kind"}` with `kind` one of `"start"`, `"end"`,
+    /// `"task"` (plus `"block"`) or `"decision"` (plus `"variable"`);
+    /// edges are `{"from", "to", "guard"}` with a `null` guard when
+    /// unconditional; parameters are `{"name", "type"}`. `backout` is
+    /// present only when the workflow has one.
+    pub fn to_json_value(&self) -> JsonValue {
+        let obj = |fields: Vec<(&str, JsonValue)>| {
+            JsonValue::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        };
+        let text = |s: &str| JsonValue::String(s.to_owned());
+        let id = |n: NodeId| JsonValue::Number(n.0 as f64);
+        let params = |ps: &[WorkflowParam]| {
+            let items = ps
+                .iter()
+                .map(|p| obj(vec![("name", text(&p.name)), ("type", text(p.ty.name()))]));
+            JsonValue::Array(items.collect())
+        };
+        let nodes = self.nodes.iter().map(|n| {
+            let (kind, arg) = match &n.kind {
+                NodeKind::Start => ("start", None),
+                NodeKind::End => ("end", None),
+                NodeKind::Task { block } => ("task", Some(("block", block))),
+                NodeKind::Decision { variable } => ("decision", Some(("variable", variable))),
+            };
+            let mut fields = vec![
+                ("id", id(n.id)),
+                ("label", text(&n.label)),
+                ("kind", text(kind)),
+            ];
+            fields.extend(arg.map(|(k, v)| (k, text(v))));
+            obj(fields)
+        });
+        let edges = self.edges.iter().map(|e| {
+            let guard = e.guard.map_or(JsonValue::Null, JsonValue::Bool);
+            obj(vec![
+                ("from", id(e.from)),
+                ("to", id(e.to)),
+                ("guard", guard),
+            ])
+        });
+        let mut fields = vec![
+            ("name", text(&self.name)),
+            ("nodes", JsonValue::Array(nodes.collect())),
+            ("edges", JsonValue::Array(edges.collect())),
+            ("inputs", params(&self.inputs)),
+            ("outputs", params(&self.outputs)),
+        ];
+        fields.extend(
+            self.backout
+                .as_ref()
+                .map(|b| ("backout", b.to_json_value())),
+        );
+        obj(fields)
+    }
+
+    /// Decode a workflow from its [`Workflow::to_json_value`] form.
+    pub fn from_json_value(value: &JsonValue) -> Result<Workflow> {
+        let text = |v: &JsonValue, key: &str| v.field(key, |x| x.as_str().map(str::to_owned));
+        let id = |v: &JsonValue, key: &str| {
+            v.field(key, |x| {
+                x.as_f64()
+                    .filter(|n| n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(n))
+                    .map(|n| NodeId(n as u32))
+            })
+        };
+        let params = |key: &str| -> Result<Vec<WorkflowParam>> {
+            let items = value.field(key, JsonValue::as_array)?;
+            items
+                .iter()
+                .map(|p| {
+                    Ok(WorkflowParam {
+                        name: text(p, "name")?,
+                        ty: p.field("type", |x| x.as_str().and_then(ParamType::from_name))?,
+                    })
+                })
+                .collect()
+        };
+        let nodes = value.field("nodes", JsonValue::as_array)?.iter().map(|n| {
+            let kind = match text(n, "kind")?.as_str() {
+                "start" => NodeKind::Start,
+                "end" => NodeKind::End,
+                "task" => NodeKind::Task {
+                    block: text(n, "block")?,
+                },
+                "decision" => NodeKind::Decision {
+                    variable: text(n, "variable")?,
+                },
+                other => return Err(CornetError::Parse(format!("unknown node kind {other:?}"))),
+            };
+            Ok(WorkflowNode {
+                id: id(n, "id")?,
+                label: text(n, "label")?,
+                kind,
+            })
+        });
+        let edges = value.field("edges", JsonValue::as_array)?.iter().map(|e| {
+            Ok(WorkflowEdge {
+                from: id(e, "from")?,
+                to: id(e, "to")?,
+                guard: e.field("guard", |g| match g {
+                    JsonValue::Null => Some(None),
+                    g => g.as_bool().map(Some),
+                })?,
+            })
+        });
+        Ok(Workflow {
+            name: text(value, "name")?,
+            nodes: nodes.collect::<Result<_>>()?,
+            edges: edges.collect::<Result<_>>()?,
+            inputs: params("inputs")?,
+            outputs: params("outputs")?,
+            backout: value
+                .get("backout")
+                .map(|b| Workflow::from_json_value(b).map(Box::new))
+                .transpose()?,
+        })
+    }
+
     /// Nodes reachable from the start by BFS (guards ignored).
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
@@ -223,18 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let mut wf = Workflow::new("t");
-        let s = wf.add_node("start", NodeKind::Start);
-        let d = wf.add_node(
-            "ok?",
-            NodeKind::Decision {
-                variable: "healthy".into(),
-            },
-        );
-        wf.add_edge(s, d, None);
-        let json = serde_json::to_string(&wf).unwrap();
-        let back: Workflow = serde_json::from_str(&json).unwrap();
-        assert_eq!(wf, back);
+    fn json_round_trip() {
+        use cornet_types::json::{parse, to_canonical};
+        let cat = cornet_catalog::builtin_catalog();
+        let mut wf = crate::builtin::software_upgrade_workflow(&cat);
+        let decode = |wf: &Workflow| {
+            Workflow::from_json_value(&parse(&to_canonical(&wf.to_json_value())).unwrap())
+        };
+        assert_eq!(decode(&wf).unwrap(), wf);
+        wf.set_backout(crate::builtin::config_change_workflow(&cat));
+        assert_eq!(decode(&wf).unwrap(), wf);
     }
 }

@@ -7,23 +7,25 @@
 //! REST API for the newly created change workflow" (§3.2).
 //!
 //! Our WAR is a manifest (workflow name, version digest, block → endpoint
-//! table, the REST path for invoking the workflow) plus the serialized
-//! graph, packed into bytes — the artifact the orchestrator deploys.
+//! table, the REST path for invoking the workflow) plus the graph in the
+//! canonical JSON encoding of `cornet_types::json` — the artifact the
+//! orchestrator deploys. The digest is taken over those canonical bytes,
+//! so it names the content: equal workflows get equal digests in any
+//! process, and any change to the graph changes it.
 
 use crate::graph::Workflow;
 use crate::validate::require_valid;
-use bytes::Bytes;
 use cornet_catalog::Catalog;
+use cornet_types::json::{self, JsonValue};
 use cornet_types::{CornetError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Manifest describing one deployable workflow artifact.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WarManifest {
     /// Workflow name.
     pub workflow: String,
-    /// Content digest of the serialized workflow (FNV-1a, hex).
+    /// Content digest of the payload bytes (FNV-1a, hex).
     pub digest: String,
     /// REST path registered for launching this workflow.
     pub rest_api: String,
@@ -31,13 +33,47 @@ pub struct WarManifest {
     pub block_endpoints: BTreeMap<String, String>,
 }
 
-/// A packaged workflow: manifest + serialized graph bytes.
+impl WarManifest {
+    /// Render as a canonical JSON object.
+    pub fn encode(&self) -> String {
+        let text = |s: &str| JsonValue::String(s.to_owned());
+        let endpoints = self.block_endpoints.iter();
+        json::to_canonical(&JsonValue::Object(vec![
+            ("workflow".into(), text(&self.workflow)),
+            ("digest".into(), text(&self.digest)),
+            ("rest_api".into(), text(&self.rest_api)),
+            (
+                "block_endpoints".into(),
+                JsonValue::Object(endpoints.map(|(k, v)| (k.clone(), text(v))).collect()),
+            ),
+        ]))
+    }
+
+    /// Parse a manifest from its JSON text.
+    pub fn decode(text: &str) -> Result<WarManifest> {
+        let value = json::parse(text)?;
+        let text = |key: &str| value.field(key, |v| v.as_str().map(str::to_owned));
+        Ok(WarManifest {
+            workflow: text("workflow")?,
+            digest: text("digest")?,
+            rest_api: text("rest_api")?,
+            block_endpoints: value.field("block_endpoints", |v| {
+                let entries = v.entries()?.iter();
+                entries
+                    .map(|(k, e)| Some((k.clone(), e.as_str()?.to_owned())))
+                    .collect()
+            })?,
+        })
+    }
+}
+
+/// A packaged workflow: manifest + canonical JSON graph bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WarArtifact {
     /// Deployment manifest.
     pub manifest: WarManifest,
-    /// Serialized workflow payload.
-    pub payload: Bytes,
+    /// The workflow in canonical JSON (see [`Workflow::to_json_value`]).
+    pub payload: Vec<u8>,
 }
 
 /// 64-bit FNV-1a — content digest for WAR versioning. Collision-resistant
@@ -57,8 +93,7 @@ impl WarArtifact {
     /// reach the orchestrator (warnings do not block packaging).
     pub fn package(wf: &Workflow, catalog: &Catalog) -> Result<WarArtifact> {
         require_valid(wf, catalog)?;
-        let payload = serde_json::to_vec(wf)
-            .map_err(|e| CornetError::Parse(format!("workflow serialization failed: {e}")))?;
+        let payload = json::to_canonical(&wf.to_json_value()).into_bytes();
         let digest = format!("{:016x}", fnv1a(&payload));
         let block_endpoints = wf
             .blocks()
@@ -75,16 +110,16 @@ impl WarArtifact {
             digest,
             block_endpoints,
         };
-        Ok(WarArtifact {
-            manifest,
-            payload: Bytes::from(payload),
-        })
+        Ok(WarArtifact { manifest, payload })
     }
 
     /// Unpack the workflow graph from the artifact.
     pub fn unpack(&self) -> Result<Workflow> {
-        serde_json::from_slice(&self.payload)
-            .map_err(|e| CornetError::Parse(format!("corrupt WAR payload: {e}")))
+        let corrupt = |e: String| CornetError::Parse(format!("corrupt WAR payload: {e}"));
+        let text = std::str::from_utf8(&self.payload).map_err(|e| corrupt(e.to_string()))?;
+        json::parse(text)
+            .and_then(|v| Workflow::from_json_value(&v))
+            .map_err(|e| corrupt(e.to_string()))
     }
 }
 
@@ -109,6 +144,15 @@ mod tests {
             war.manifest.block_endpoints["health_check"],
             "/bb/health_check"
         );
+    }
+
+    #[test]
+    fn corrupt_payload_fails_to_unpack() {
+        let cat = builtin_catalog();
+        let mut war = WarArtifact::package(&software_upgrade_workflow(&cat), &cat).unwrap();
+        war.payload.truncate(war.payload.len() / 2);
+        let err = war.unpack().unwrap_err();
+        assert!(err.to_string().contains("corrupt WAR payload"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use cornet::daemon::DaemonClient;
 use cornet::journal::{Journal, JournalEvent};
-use cornet::planner::json::{parse, JsonValue};
+use cornet::types::json::{parse, JsonValue};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
