@@ -76,7 +76,8 @@ pub enum Constraint {
         /// When present it overrides the `(value−1)/block` bucketing —
         /// needed when model values index a *compacted* usable-slot list
         /// (excluded holidays) but granules must follow calendar weeks
-        /// (§3.3.2's differing-granularity complication).
+        /// (§3.3.2's differing-granularity complication). Granule ids are
+        /// non-negative.
         value_granules: Option<Vec<i64>>,
     },
     /// At most `cap` *distinct groups* may occupy any single slot — the
@@ -148,6 +149,36 @@ pub enum Constraint {
     },
 }
 
+/// Dense value→granule and granule→capacity tables of one
+/// [`Constraint::Capacity`], built by [`Constraint::granule_table`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GranuleTable {
+    /// Granule of each scheduled value (index `value − 1`).
+    granule_of: Vec<u32>,
+    /// Capacity of each granule after per-granule overrides.
+    caps: Vec<i64>,
+}
+
+impl GranuleTable {
+    /// The granule a scheduled value (`1..=max_value`) lands in.
+    #[inline]
+    pub fn granule(&self, value: i64) -> usize {
+        self.granule_of[(value - 1) as usize] as usize
+    }
+
+    /// Capacity of `granule`.
+    #[inline]
+    pub fn cap(&self, granule: usize) -> i64 {
+        self.caps[granule]
+    }
+
+    /// Capacity of every granule up to the largest one a covered value
+    /// lands in.
+    pub fn caps(&self) -> &[i64] {
+        &self.caps
+    }
+}
+
 impl Constraint {
     /// Convenience constructor for [`Constraint::ForbiddenValue`].
     pub fn forbidden_value(label: impl Into<String>, var: VarId, value: i64) -> Self {
@@ -184,66 +215,60 @@ impl Constraint {
         }
     }
 
-    /// For a [`Constraint::Capacity`]: the granule a *scheduled* value
-    /// (`> 0`) lands in. `None` for other constraint kinds. Exposed so
-    /// the planner's cross-shard reconciliation can track loads with the
-    /// exact bucketing `check` uses.
-    pub fn capacity_granule(&self, value: i64) -> Option<i64> {
-        match self {
-            Constraint::Capacity {
-                block,
-                value_granules,
-                ..
-            } => Some(match value_granules {
-                Some(vg) => vg[(value - 1) as usize],
-                None => (value - 1) / (*block).max(1),
-            }),
-            _ => None,
+    /// For a [`Constraint::Capacity`]: its dense granule tables over the
+    /// scheduled values `1..=max_value`. `None` for other constraint kinds.
+    ///
+    /// This is the one place that turns `block`, `value_granules`,
+    /// `default_cap` and `slot_caps` into "which granule does value `t`
+    /// land in, and how much fits there" — `check`, the emitter, the
+    /// solver's capacity propagator and the planner's cross-shard
+    /// reconciliation all read capacities through it.
+    pub fn granule_table(&self, max_value: i64) -> Option<GranuleTable> {
+        let Constraint::Capacity {
+            default_cap,
+            slot_caps,
+            block,
+            value_granules,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let block = (*block).max(1);
+        let granule_of: Vec<u32> = (1..=max_value)
+            .map(|val| {
+                let g = match value_granules {
+                    Some(vg) => vg[(val - 1) as usize],
+                    None => (val - 1) / block,
+                };
+                u32::try_from(g).expect("granule ids are non-negative")
+            })
+            .collect();
+        let n_granules = granule_of.iter().max().map_or(0, |&g| g as usize + 1);
+        let mut caps = vec![*default_cap; n_granules];
+        for (&g, &cap) in slot_caps.range(0..n_granules as i64) {
+            caps[g as usize] = cap;
         }
-    }
-
-    /// For a [`Constraint::Capacity`]: the capacity of `granule` after
-    /// per-granule overrides. `None` for other constraint kinds.
-    pub fn capacity_of_granule(&self, granule: i64) -> Option<i64> {
-        match self {
-            Constraint::Capacity {
-                default_cap,
-                slot_caps,
-                ..
-            } => Some(slot_caps.get(&granule).copied().unwrap_or(*default_cap)),
-            _ => None,
-        }
+        Some(GranuleTable { granule_of, caps })
     }
 
     /// Check the constraint against a full assignment.
     pub fn check(&self, a: &[i64]) -> Result<(), String> {
         match self {
-            Constraint::Capacity {
-                vars,
-                weights,
-                default_cap,
-                slot_caps,
-                block,
-                value_granules,
-                ..
-            } => {
-                let block = (*block).max(1);
-                let granule = |val: i64| -> i64 {
-                    match value_granules {
-                        Some(vg) => vg[(val - 1) as usize],
-                        None => (val - 1) / block,
-                    }
-                };
-                let mut load: BTreeMap<i64, i64> = BTreeMap::new();
+            Constraint::Capacity { vars, weights, .. } => {
+                let max_value = vars.iter().map(|v| a[v.index()]).max().unwrap_or(0);
+                let table = self.granule_table(max_value).expect("capacity");
+                // `None` = no scheduled member landed in the granule.
+                let mut load: Vec<Option<i64>> = vec![None; table.caps().len()];
                 for (v, w) in vars.iter().zip(weights) {
                     let val = a[v.index()];
                     if val > 0 {
-                        *load.entry(granule(val)).or_default() += w;
+                        *load[table.granule(val)].get_or_insert(0) += w;
                     }
                 }
-                for (granule, l) in load {
-                    let cap = slot_caps.get(&granule).copied().unwrap_or(*default_cap);
-                    if l > cap {
+                for (granule, l) in load.into_iter().enumerate() {
+                    let cap = table.cap(granule);
+                    if let Some(l) = l.filter(|&l| l > cap) {
                         return Err(format!("granule {granule} load {l} exceeds cap {cap}"));
                     }
                 }

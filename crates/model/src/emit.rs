@@ -52,31 +52,12 @@ impl Model {
         for c in &self.constraints {
             let _ = writeln!(s, "% {}", c.label());
             match c {
-                Constraint::Capacity {
-                    vars,
-                    weights,
-                    default_cap,
-                    slot_caps,
-                    block,
-                    value_granules,
-                    ..
-                } => {
-                    let block = (*block).max(1);
+                Constraint::Capacity { vars, weights, .. } => {
                     let hi = vars.iter().map(|v| self.var(*v).hi).max().unwrap_or(0);
-                    let granule_of = |val: i64| -> i64 {
-                        match value_granules {
-                            Some(vg) => vg[(val - 1) as usize],
-                            None => (val - 1) / block,
-                        }
-                    };
-                    let n_granules = if hi > 0 {
-                        (1..=hi).map(granule_of).max().unwrap_or(0) + 1
-                    } else {
-                        0
-                    };
-                    for g in 0..n_granules {
-                        let cap = slot_caps.get(&g).copied().unwrap_or(*default_cap);
-                        let values: Vec<i64> = (1..=hi).filter(|&t| granule_of(t) == g).collect();
+                    let table = c.granule_table(hi).expect("capacity");
+                    for (g, &cap) in table.caps().iter().enumerate() {
+                        let values: Vec<i64> =
+                            (1..=hi).filter(|&t| table.granule(t) == g).collect();
                         if values.is_empty() {
                             continue;
                         }
@@ -218,12 +199,12 @@ impl Model {
             if self.objective.constant != 0 {
                 parts.push(self.objective.constant.to_string());
             }
-            for (var, c) in &self.objective.terms {
+            for (var, c) in self.objective.terms() {
                 let name = &names[var.index()];
                 if c.slope != 0 {
                     parts.push(format!("{} * {name}", c.slope));
                 }
-                for (value, cost) in &c.table {
+                for (value, cost) in c.overrides() {
                     if *cost != 0 {
                         parts.push(format!("(if {name} = {value} then {cost} else 0 endif)"));
                     }

@@ -27,7 +27,7 @@ pub mod objective;
 pub mod stats;
 
 pub use builder::ModelBuilder;
-pub use constraint::{CmpOp, Constraint, LinTerm};
+pub use constraint::{CmpOp, Constraint, GranuleTable, LinTerm};
 pub use objective::{Objective, VarCost};
 pub use stats::ModelStats;
 

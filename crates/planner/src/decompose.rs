@@ -12,9 +12,9 @@
 //! answer to that case is the timezone-sequenced heuristic instead.
 
 use crate::translate::{Translation, Unit};
-use cornet_model::{Constraint, Model, Objective, VarId};
+use cornet_model::{Constraint, GranuleTable, Model, VarId};
 use cornet_solver::{solve, Outcome, SearchStats, SolverConfig};
-use cornet_types::Inventory;
+use cornet_types::{AttrValue, Inventory};
 use std::collections::BTreeMap;
 
 /// Union–find over variable indices.
@@ -69,47 +69,7 @@ pub fn var_components(model: &Model) -> Vec<Vec<usize>> {
 /// Extract the sub-model induced by `vars` (which must be closed under
 /// constraint adjacency, i.e. a union of components).
 fn sub_model(model: &Model, vars: &[usize]) -> Model {
-    let mut remap = vec![usize::MAX; model.var_count()];
-    let mut sub = Model::new(format!("{}#sub", model.name));
-    for (new_idx, &old) in vars.iter().enumerate() {
-        remap[old] = new_idx;
-        let v = &model.vars[old];
-        sub.add_var(v.name.clone(), v.lo, v.hi);
-    }
-    let map_var = |v: VarId| VarId(remap[v.index()] as u32);
-    for c in &model.constraints {
-        let cvars = c.vars();
-        if cvars.is_empty() || remap[cvars[0].index()] == usize::MAX {
-            continue;
-        }
-        let mut c2 = c.clone();
-        match &mut c2 {
-            Constraint::Capacity { vars, .. }
-            | Constraint::DistinctGroups { vars, .. }
-            | Constraint::SameValue { vars, .. }
-            | Constraint::MaxSpread { vars, .. }
-            | Constraint::NonInterleaved { vars, .. } => {
-                for v in vars.iter_mut() {
-                    *v = map_var(*v);
-                }
-            }
-            Constraint::ForbiddenValue { var, .. } => *var = map_var(*var),
-            Constraint::Linear { terms, .. } => {
-                for t in terms.iter_mut() {
-                    t.var = map_var(t.var);
-                }
-            }
-        }
-        sub.add_constraint(c2);
-    }
-    let mut objective = Objective::default();
-    for (&var, cost) in &model.objective.terms {
-        if remap[var.index()] != usize::MAX {
-            objective.terms.insert(map_var(var), cost.clone());
-        }
-    }
-    sub.objective = objective;
-    sub
+    induced_model(model, vars, format!("{}#sub", model.name), None)
 }
 
 /// A decomposed piece of a translation: the original variable indices it
@@ -243,25 +203,25 @@ pub fn shard_translation(
     // Key every unit by its first node; ESA grouping and consistency
     // contraction only merge co-located nodes, so one representative is
     // enough.
-    let keys: Vec<ShardKey> = t
-        .units
-        .iter()
-        .map(|u| {
-            let node = u.nodes.first().copied();
-            let tz_milli = node
-                .and_then(|n| inventory.attr_of(n, "utc_offset"))
-                .and_then(|v| v.as_f64())
-                .map(|o| (o * 1000.0).round() as i64)
-                .unwrap_or(0);
-            let market = node
-                .and_then(|n| inventory.group_key_of(n, "market"))
-                .unwrap_or_default();
-            ShardKey { tz_milli, market }
-        })
-        .collect();
     let mut groups: BTreeMap<ShardKey, Vec<usize>> = BTreeMap::new();
-    for (var, key) in keys.iter().enumerate() {
-        groups.entry(key.clone()).or_default().push(var);
+    for (var, u) in t.units.iter().enumerate() {
+        let attrs = u
+            .nodes
+            .first()
+            .and_then(|&n| inventory.get(n))
+            .map(|r| &r.attrs);
+        let tz_milli = attrs
+            .and_then(|a| a.get("utc_offset"))
+            .and_then(AttrValue::as_f64)
+            .map(|o| (o * 1000.0).round() as i64)
+            .unwrap_or(0);
+        let market = attrs
+            .and_then(|a| a.group_key("market"))
+            .unwrap_or_default();
+        groups
+            .entry(ShardKey { tz_milli, market })
+            .or_default()
+            .push(var);
     }
     if groups.len() < 2 {
         return None;
@@ -325,7 +285,8 @@ pub fn shard_translation(
         .into_iter()
         .enumerate()
         .map(|(si, (key, vars))| {
-            let model = shard_sub_model(&t.model, &vars, si, &cap_shares);
+            let name = format!("{}#shard{si}", t.model.name);
+            let model = induced_model(&t.model, &vars, name, Some((si, &cap_shares)));
             let heuristic_cap = cap_shares
                 .iter()
                 .filter(|(&ci, _)| {
@@ -363,17 +324,19 @@ pub fn shard_translation(
     Some(ShardSplit { shards, coupled })
 }
 
-/// Like [`sub_model`], but keeps cross-shard capacity constraints with
-/// the member subset present in this shard and the shard's apportioned
-/// capacity share.
-fn shard_sub_model(
+/// The sub-model over `vars`, renumbered so `vars[i]` becomes variable
+/// `i`: constraints whose first variable is in `vars` are copied. With
+/// `shares = Some((shard, cap_shares))`, each cross-shard capacity
+/// constraint instead keeps the member subset present in `vars` and the
+/// shard's apportioned capacity share.
+fn induced_model(
     model: &Model,
     vars: &[usize],
-    shard_idx: usize,
-    cap_shares: &CapShares,
+    name: String,
+    shares: Option<(usize, &CapShares)>,
 ) -> Model {
     let mut remap = vec![usize::MAX; model.var_count()];
-    let mut sub = Model::new(format!("{}#shard{}", model.name, shard_idx));
+    let mut sub = Model::new(name);
     for (new_idx, &old) in vars.iter().enumerate() {
         remap[old] = new_idx;
         let v = &model.vars[old];
@@ -381,7 +344,7 @@ fn shard_sub_model(
     }
     let map_var = |v: VarId| VarId(remap[v.index()] as u32);
     for (ci, c) in model.constraints.iter().enumerate() {
-        if let Some(shares) = cap_shares.get(&ci) {
+        if let Some((shard_idx, Some(share))) = shares.map(|(si, cs)| (si, cs.get(&ci))) {
             let Constraint::Capacity {
                 label,
                 vars: cvars,
@@ -404,7 +367,7 @@ fn shard_sub_model(
             if sub_vars.is_empty() {
                 continue;
             }
-            let (default_cap, slot_caps) = &shares[shard_idx];
+            let (default_cap, slot_caps) = &share[shard_idx];
             sub.add_constraint(Constraint::Capacity {
                 label: format!("{label}#shard{shard_idx}"),
                 vars: sub_vars,
@@ -441,13 +404,7 @@ fn shard_sub_model(
         }
         sub.add_constraint(c2);
     }
-    let mut objective = Objective::default();
-    for (&var, cost) in &model.objective.terms {
-        if remap[var.index()] != usize::MAX {
-            objective.terms.insert(map_var(var), cost.clone());
-        }
-    }
-    sub.objective = objective;
+    sub.objective = model.objective.restrict(vars);
     sub
 }
 
@@ -479,17 +436,29 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
     // A variable is movable only if capacity and forbidden-value
     // constraints are the whole story for it.
     let mut locked = vec![false; n];
-    let mut forbidden: BTreeMap<usize, Vec<i64>> = BTreeMap::new();
+    let mut forbidden: Vec<Vec<i64>> = vec![Vec::new(); n];
+    // Per variable: (capacity index into `caps`, weight).
     let mut members: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];
-    for (ci, c) in model.constraints.iter().enumerate() {
+    // Per capacity constraint: its granule table and the current load of
+    // every granule.
+    let mut caps: Vec<(GranuleTable, Vec<i64>)> = Vec::new();
+    for c in &model.constraints {
         match c {
             Constraint::Capacity { vars, weights, .. } => {
+                let max_value = vars
+                    .iter()
+                    .map(|v| model.vars[v.index()].hi.max(assignment[v.index()]))
+                    .max()
+                    .unwrap_or(0);
+                let table = c.granule_table(max_value).expect("capacity");
+                let load = vec![0; table.caps().len()];
                 for (v, w) in vars.iter().zip(weights) {
-                    members[v.index()].push((ci, *w));
+                    members[v.index()].push((caps.len(), *w));
                 }
+                caps.push((table, load));
             }
             Constraint::ForbiddenValue { var, value, .. } => {
-                forbidden.entry(var.index()).or_default().push(*value);
+                forbidden[var.index()].push(*value);
             }
             _ => {
                 for v in c.vars() {
@@ -498,15 +467,11 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
             }
         }
     }
-    // Per-constraint granule loads for the current assignment.
-    let mut loads: BTreeMap<usize, BTreeMap<i64, i64>> = BTreeMap::new();
     for (vi, &val) in assignment.iter().enumerate() {
         if val > 0 {
-            for &(ci, w) in &members[vi] {
-                let g = model.constraints[ci]
-                    .capacity_granule(val)
-                    .expect("capacity member");
-                *loads.entry(ci).or_default().entry(g).or_default() += w;
+            for &(k, w) in &members[vi] {
+                let (table, load) = &mut caps[k];
+                load[table.granule(val)] += w;
             }
         }
     }
@@ -522,8 +487,7 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
             let vid = VarId(vi as u32);
             let var = &model.vars[vi];
             let cur_cost = model.objective.var_cost(vid, cur);
-            let none: Vec<i64> = Vec::new();
-            let banned = forbidden.get(&vi).unwrap_or(&none);
+            let banned = &forbidden[vi];
             let mut best: Option<(i64, i64)> = None; // (cost, value)
             for v in var.lo..=var.hi {
                 if v == cur || banned.contains(&v) {
@@ -534,29 +498,27 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
                     continue;
                 }
                 let fits = v <= 0
-                    || members[vi].iter().all(|&(ci, w)| {
-                        let c = &model.constraints[ci];
-                        let g = c.capacity_granule(v).expect("capacity member");
-                        let mut load = loads.get(&ci).and_then(|m| m.get(&g)).copied().unwrap_or(0);
-                        if cur > 0 && c.capacity_granule(cur) == Some(g) {
-                            load -= w;
+                    || members[vi].iter().all(|&(k, w)| {
+                        let (table, load) = &caps[k];
+                        let g = table.granule(v);
+                        let mut l = load[g];
+                        if cur > 0 && table.granule(cur) == g {
+                            l -= w;
                         }
-                        load + w <= c.capacity_of_granule(g).expect("capacity member")
+                        l + w <= table.cap(g)
                     });
                 if fits {
                     best = Some((cost, v));
                 }
             }
             if let Some((_, v)) = best {
-                for &(ci, w) in &members[vi] {
-                    let c = &model.constraints[ci];
+                for &(k, w) in &members[vi] {
+                    let (table, load) = &mut caps[k];
                     if cur > 0 {
-                        let g = c.capacity_granule(cur).expect("capacity member");
-                        *loads.entry(ci).or_default().entry(g).or_default() -= w;
+                        load[table.granule(cur)] -= w;
                     }
                     if v > 0 {
-                        let g = c.capacity_granule(v).expect("capacity member");
-                        *loads.entry(ci).or_default().entry(g).or_default() += w;
+                        load[table.granule(v)] += w;
                     }
                 }
                 assignment[vi] = v;
@@ -629,6 +591,7 @@ pub fn solve_components(
 mod tests {
     use super::*;
     use cornet_model::ModelBuilder;
+    use proptest::prelude::*;
 
     fn two_component_model() -> Model {
         let mut b = ModelBuilder::new("t", 4);
@@ -737,6 +700,231 @@ mod tests {
         assert!(out.feasible);
         assert!(m.check(&a).is_ok());
         assert_eq!(a, vec![1, 1, 2, 2]);
+    }
+
+    /// `reconcile` as it stood before the dense granule tables: loads in
+    /// a tree per constraint, caps looked up per candidate. Kept as the
+    /// reference the dense rewrite must match exactly.
+    fn reference_reconcile(
+        model: &Model,
+        assignment: &mut [i64],
+        max_rounds: u64,
+    ) -> ReconcileOutcome {
+        let granule = |c: &Constraint, value: i64| match c {
+            Constraint::Capacity {
+                block,
+                value_granules,
+                ..
+            } => match value_granules {
+                Some(vg) => vg[(value - 1) as usize],
+                None => (value - 1) / (*block).max(1),
+            },
+            _ => unreachable!("capacity member"),
+        };
+        let cap_of = |c: &Constraint, g: i64| match c {
+            Constraint::Capacity {
+                default_cap,
+                slot_caps,
+                ..
+            } => slot_caps.get(&g).copied().unwrap_or(*default_cap),
+            _ => unreachable!("capacity member"),
+        };
+        let n = model.var_count();
+        let mut locked = vec![false; n];
+        let mut forbidden: BTreeMap<usize, Vec<i64>> = BTreeMap::new();
+        let mut members: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];
+        for (ci, c) in model.constraints.iter().enumerate() {
+            match c {
+                Constraint::Capacity { vars, weights, .. } => {
+                    for (v, w) in vars.iter().zip(weights) {
+                        members[v.index()].push((ci, *w));
+                    }
+                }
+                Constraint::ForbiddenValue { var, value, .. } => {
+                    forbidden.entry(var.index()).or_default().push(*value);
+                }
+                _ => {
+                    for v in c.vars() {
+                        locked[v.index()] = true;
+                    }
+                }
+            }
+        }
+        let mut loads: BTreeMap<usize, BTreeMap<i64, i64>> = BTreeMap::new();
+        for (vi, &val) in assignment.iter().enumerate() {
+            if val > 0 {
+                for &(ci, w) in &members[vi] {
+                    let g = granule(&model.constraints[ci], val);
+                    *loads.entry(ci).or_default().entry(g).or_default() += w;
+                }
+            }
+        }
+        let mut out = ReconcileOutcome::default();
+        while out.rounds < max_rounds {
+            out.rounds += 1;
+            let mut moved = false;
+            for vi in 0..n {
+                if locked[vi] {
+                    continue;
+                }
+                let cur = assignment[vi];
+                let vid = VarId(vi as u32);
+                let var = &model.vars[vi];
+                let cur_cost = model.objective.var_cost(vid, cur);
+                let none: Vec<i64> = Vec::new();
+                let banned = forbidden.get(&vi).unwrap_or(&none);
+                let mut best: Option<(i64, i64)> = None;
+                for v in var.lo..=var.hi {
+                    if v == cur || banned.contains(&v) {
+                        continue;
+                    }
+                    let cost = model.objective.var_cost(vid, v);
+                    if cost >= cur_cost || best.is_some_and(|(bc, bv)| (cost, v) >= (bc, bv)) {
+                        continue;
+                    }
+                    let fits = v <= 0
+                        || members[vi].iter().all(|&(ci, w)| {
+                            let c = &model.constraints[ci];
+                            let g = granule(c, v);
+                            let mut load =
+                                loads.get(&ci).and_then(|m| m.get(&g)).copied().unwrap_or(0);
+                            if cur > 0 && granule(c, cur) == g {
+                                load -= w;
+                            }
+                            load + w <= cap_of(c, g)
+                        });
+                    if fits {
+                        best = Some((cost, v));
+                    }
+                }
+                if let Some((_, v)) = best {
+                    for &(ci, w) in &members[vi] {
+                        let c = &model.constraints[ci];
+                        if cur > 0 {
+                            *loads
+                                .entry(ci)
+                                .or_default()
+                                .entry(granule(c, cur))
+                                .or_default() -= w;
+                        }
+                        if v > 0 {
+                            *loads
+                                .entry(ci)
+                                .or_default()
+                                .entry(granule(c, v))
+                                .or_default() += w;
+                        }
+                    }
+                    assignment[vi] = v;
+                    out.moves += 1;
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        out.feasible = model.check(assignment).is_ok();
+        out
+    }
+
+    /// Uniform draws off a splitmix64 stream seeded by the case.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A value in `lo..hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo) as u64) as i64
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+    }
+
+    /// A random reconcile input: variables with random lower bounds,
+    /// one to three capacity constraints over random member subsets
+    /// (blocks, overrides, explicit granule maps), forbidden values, an
+    /// optional same-value pair, completion costs with conflict penalties,
+    /// a starting assignment inside the domains and a round budget.
+    fn reconcile_case(d: &mut Draw) -> (Model, Vec<i64>, u64) {
+        let slots = d.range(1, 7);
+        let n = d.range(1, 9) as usize;
+        let mut m = Model::new("eq");
+        let mut assignment = Vec::new();
+        for i in 0..n {
+            let lo = d.range(0, 2);
+            let v = m.add_var(format!("x{i}"), lo, slots);
+            assignment.push(d.range(lo, slots + 1));
+            let weight = d.range(1, 4);
+            m.objective.add_slope(v, weight);
+            m.objective.add_value_cost(v, 0, weight * 100);
+        }
+        for ci in 0..d.range(1, 4) {
+            let (mut vars, mut weights) = (Vec::new(), Vec::new());
+            for i in 0..n {
+                if d.coin() {
+                    vars.push(VarId(i as u32));
+                    weights.push(d.range(0, 3));
+                }
+            }
+            m.add_constraint(Constraint::Capacity {
+                label: format!("cap{ci}"),
+                vars,
+                weights,
+                default_cap: d.range(0, 4),
+                slot_caps: (0..d.range(0, 3))
+                    .map(|_| (d.range(0, 5), d.range(0, 4)))
+                    .collect(),
+                block: d.range(1, 3),
+                value_granules: d
+                    .coin()
+                    .then(|| (0..slots).map(|_| d.range(0, 4)).collect()),
+            });
+        }
+        let var = |d: &mut Draw| VarId(d.range(0, n as i64) as u32);
+        for _ in 0..d.range(0, 4) {
+            let (v, value) = (var(d), d.range(0, slots + 1));
+            m.add_constraint(Constraint::forbidden_value("f", v, value));
+        }
+        for _ in 0..d.range(0, 6) {
+            let (v, value, cost) = (var(d), d.range(0, slots + 1), d.range(1, 200));
+            m.objective.add_value_cost(v, value, cost);
+        }
+        if d.coin() {
+            let pair = vec![var(d), var(d)];
+            m.add_constraint(Constraint::SameValue {
+                label: "pair".into(),
+                vars: pair,
+            });
+        }
+        let rounds = d.range(1, 6) as u64;
+        (m, assignment, rounds)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The dense reconcile makes exactly the reference's moves and
+        /// reports the same outcome, whatever the starting assignment.
+        #[test]
+        fn reconcile_matches_reference(seed in any::<u64>()) {
+            let (model, start, rounds) = reconcile_case(&mut Draw(seed));
+            let mut got = start.clone();
+            let mut want = start;
+            let got_out = reconcile(&model, &mut got, rounds);
+            let want_out = reference_reconcile(&model, &mut want, rounds);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got_out, want_out);
+        }
     }
 
     #[test]

@@ -101,16 +101,7 @@ fn intervals_conflict(a: (i64, i64), b: (i64, i64)) -> bool {
 /// Run one constraint's filtering against the current state.
 fn propagate_one(c: &Constraint, state: &mut State) -> Result<(), Conflict> {
     match c {
-        Constraint::Capacity {
-            vars,
-            weights,
-            default_cap,
-            slot_caps,
-            block,
-            value_granules,
-            ..
-        } => {
-            let block = (*block).max(1);
+        Constraint::Capacity { vars, weights, .. } => {
             let max_slot = vars
                 .iter()
                 .filter_map(|v| state.domain(v.index()).max())
@@ -119,43 +110,37 @@ fn propagate_one(c: &Constraint, state: &mut State) -> Result<(), Conflict> {
             if max_slot < 1 {
                 return Ok(());
             }
-            let granule_of = |val: i64| -> i64 {
-                match value_granules {
-                    Some(vg) => vg[(val - 1) as usize],
-                    None => (val - 1) / block,
-                }
-            };
-            let n_granules = (1..=max_slot).map(granule_of).max().unwrap_or(0) as usize + 1;
-            let mut load = vec![0i64; n_granules];
+            let table = c.granule_table(max_slot).expect("capacity");
+            // Remaining room per granule after the fixed members' load.
+            let mut room = table.caps().to_vec();
             for (v, w) in vars.iter().zip(weights) {
                 if let Some(val) = state.domain(v.index()).fixed_value() {
                     if val > 0 {
-                        load[granule_of(val) as usize] += w;
+                        room[table.granule(val)] -= w;
                     }
                 }
             }
-            let cap_of = |granule: i64| slot_caps.get(&granule).copied().unwrap_or(*default_cap);
-            for (granule, l) in load.iter().enumerate() {
-                if *l > cap_of(granule as i64) {
-                    return Err(Conflict);
-                }
+            let Some(&min_room) = room.iter().min() else {
+                return Ok(());
+            };
+            if min_room < 0 {
+                return Err(Conflict);
             }
-            for (v, w) in vars.iter().zip(weights) {
+            let mut doomed = Vec::new();
+            for (v, &w) in vars.iter().zip(weights) {
                 let vi = v.index();
-                if state.domain(vi).is_fixed() {
+                // A weight that fits in every granule loses no value.
+                if w <= min_room || state.domain(vi).is_fixed() {
                     continue;
                 }
-                let to_remove: Vec<i64> = state
-                    .domain(vi)
-                    .iter()
-                    .filter(|&val| {
-                        val > 0 && {
-                            let g = granule_of(val);
-                            load[g as usize] + w > cap_of(g)
-                        }
-                    })
-                    .collect();
-                for val in to_remove {
+                doomed.clear();
+                doomed.extend(
+                    state
+                        .domain(vi)
+                        .iter()
+                        .filter(|&val| val > 0 && w > room[table.granule(val)]),
+                );
+                for &val in &doomed {
                     state.remove(vi, val)?;
                 }
             }
@@ -391,6 +376,7 @@ fn propagate_one(c: &Constraint, state: &mut State) -> Result<(), Conflict> {
 mod tests {
     use super::*;
     use cornet_model::ModelBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn capacity_filters_saturated_slots() {
@@ -513,6 +499,174 @@ mod tests {
         let p = Propagation::new(&m);
         p.propagate_all(&m, &mut s).unwrap();
         assert!(!s.domain(0).contains(2));
+    }
+
+    #[test]
+    fn capacity_skips_weights_that_fit_everywhere() {
+        // Cap 3 with one fixed unit member: room 2 in slot 1, so the
+        // weight-2 member keeps slot 1 and the weight-3 member loses it.
+        let mut b = ModelBuilder::new("t", 2);
+        let vs = b.slot_vars("X", 3);
+        b.capacity("cap", vs, vec![1, 2, 3], 3);
+        let m = b.build();
+        let mut s = State::new(&m);
+        s.fix(0, 1).unwrap();
+        Propagation::new(&m).propagate_all(&m, &mut s).unwrap();
+        assert!(s.domain(1).contains(1));
+        assert!(!s.domain(2).contains(1));
+        assert!(s.domain(2).contains(2));
+    }
+
+    /// The capacity filter as it stood before the dense granule tables:
+    /// per-candidate tree lookups of the granule caps. Kept as the
+    /// reference the table-driven propagator must match exactly.
+    fn reference_capacity(c: &Constraint, state: &mut State) -> Result<(), Conflict> {
+        let Constraint::Capacity {
+            vars,
+            weights,
+            default_cap,
+            slot_caps,
+            block,
+            value_granules,
+            ..
+        } = c
+        else {
+            unreachable!("capacity only");
+        };
+        let block = (*block).max(1);
+        let max_slot = vars
+            .iter()
+            .filter_map(|v| state.domain(v.index()).max())
+            .max()
+            .unwrap_or(0);
+        if max_slot < 1 {
+            return Ok(());
+        }
+        let granule_of = |val: i64| -> i64 {
+            match value_granules {
+                Some(vg) => vg[(val - 1) as usize],
+                None => (val - 1) / block,
+            }
+        };
+        let n_granules = (1..=max_slot).map(granule_of).max().unwrap_or(0) as usize + 1;
+        let mut load = vec![0i64; n_granules];
+        for (v, w) in vars.iter().zip(weights) {
+            if let Some(val) = state.domain(v.index()).fixed_value() {
+                if val > 0 {
+                    load[granule_of(val) as usize] += w;
+                }
+            }
+        }
+        let cap_of = |granule: i64| slot_caps.get(&granule).copied().unwrap_or(*default_cap);
+        for (granule, l) in load.iter().enumerate() {
+            if *l > cap_of(granule as i64) {
+                return Err(Conflict);
+            }
+        }
+        for (v, w) in vars.iter().zip(weights) {
+            let vi = v.index();
+            if state.domain(vi).is_fixed() {
+                continue;
+            }
+            let to_remove: Vec<i64> = state
+                .domain(vi)
+                .iter()
+                .filter(|&val| {
+                    val > 0 && {
+                        let g = granule_of(val);
+                        load[g as usize] + w > cap_of(g)
+                    }
+                })
+                .collect();
+            for val in to_remove {
+                state.remove(vi, val)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Uniform draws off a splitmix64 stream seeded by the case.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A value in `lo..hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo) as u64) as i64
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+    }
+
+    /// A capacity constraint over `n` slot variables `0..=slots`: random
+    /// weights, default cap, granule overrides and block, sometimes an
+    /// explicit value→granule map. Weights and caps may be negative.
+    fn capacity_case(d: &mut Draw) -> (Model, Constraint) {
+        let slots = d.range(1, 10);
+        let n = d.range(1, 8) as u32;
+        let slot_caps = (0..d.range(0, 4))
+            .map(|_| (d.range(0, 6), d.range(-1, 7)))
+            .collect();
+        let c = Constraint::Capacity {
+            label: "cap".into(),
+            vars: (0..n).map(cornet_model::VarId).collect(),
+            weights: (0..n).map(|_| d.range(-1, 5)).collect(),
+            default_cap: d.range(-1, 7),
+            slot_caps,
+            block: d.range(1, 4),
+            value_granules: d
+                .coin()
+                .then(|| (0..slots).map(|_| d.range(0, 5)).collect()),
+        };
+        let mut m = Model::new("eq");
+        for i in 0..n {
+            m.add_var(format!("x{i}"), 0, slots);
+        }
+        m.add_constraint(c.clone());
+        (m, c)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// From any partial assignment the dense capacity filter leaves
+        /// exactly the domains the reference leaves, or both conflict.
+        #[test]
+        fn capacity_filter_matches_reference(seed in any::<u64>()) {
+            let mut d = Draw(seed);
+            let (m, c) = capacity_case(&mut d);
+            let (n, slots) = (m.var_count(), m.vars[0].hi);
+            let mut s = State::new(&m);
+            for _ in 0..d.range(0, 12) {
+                let var = d.range(0, n as i64) as usize;
+                let value = d.range(0, slots + 1);
+                if d.coin() {
+                    if s.domain(var).contains(value) {
+                        s.fix(var, value).unwrap();
+                    }
+                } else if s.domain(var).len() > 1 {
+                    s.remove(var, value).unwrap();
+                }
+            }
+            let mut expected = s.clone();
+            let want = reference_capacity(&c, &mut expected);
+            let got = propagate_one(&c, &mut s);
+            prop_assert_eq!(got, want);
+            if want.is_ok() {
+                for vi in 0..n {
+                    prop_assert_eq!(s.domain(vi), expected.domain(vi));
+                }
+            }
+        }
     }
 
     #[test]

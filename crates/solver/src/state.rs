@@ -12,7 +12,7 @@ use cornet_model::Model;
 pub struct Conflict;
 
 /// Mutable search state over a model's variables.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct State {
     domains: Vec<BitDomain>,
     trail: Vec<(u32, i64)>,

@@ -11,7 +11,7 @@ use cornet_stats::TimeSeries;
 use cornet_types::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Source of KPI time-series.
 pub trait DataAdapter: Sync {
@@ -32,18 +32,18 @@ pub trait DataAdapter: Sync {
 /// — including negative results (`None` is cached too).
 ///
 /// Thread-safe behind an `RwLock`: concurrent readers don't serialize on
-/// cache hits. Two threads racing on the same cold key may both hit the
-/// underlying adapter; both insert the same value (adapters are assumed
-/// deterministic), so results are unaffected.
-/// Cache key: one KPI stream is identified by `(node, KPI, carrier)`.
-type StreamKey = (NodeId, String, Option<usize>);
-
+/// cache hits, which stay a single read-locked lookup. Each key owns a
+/// once-cell, so threads that miss on the same cold key fetch it exactly
+/// once: the first runs the adapter while the others wait for its value.
 pub struct SeriesCache<'a> {
     inner: &'a dyn DataAdapter,
-    cache: RwLock<HashMap<StreamKey, Option<TimeSeries>>>,
+    cache: RwLock<HashMap<StreamKey, Arc<OnceLock<Option<TimeSeries>>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
+
+/// Cache key: one KPI stream is identified by `(node, KPI, carrier)`.
+type StreamKey = (NodeId, String, Option<usize>);
 
 impl<'a> SeriesCache<'a> {
     /// Wrap `inner` with an empty cache.
@@ -76,22 +76,31 @@ impl<'a> SeriesCache<'a> {
 impl DataAdapter for SeriesCache<'_> {
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries> {
         let key = (node, kpi.to_owned(), carrier);
-        if let Some(hit) = self
-            .cache
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
+        let read = self.cache.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = read.get(&key).and_then(|cell| cell.get()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fetched = self.inner.series(node, kpi, carrier);
-        self.cache
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, fetched.clone());
-        fetched
+        drop(read);
+        let cell = Arc::clone(
+            self.cache
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        let mut fetched_here = false;
+        let value = cell.get_or_init(|| {
+            fetched_here = true;
+            self.inner.series(node, kpi, carrier)
+        });
+        let counter = if fetched_here {
+            &self.misses
+        } else {
+            &self.hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value.clone()
     }
 }
 
@@ -160,5 +169,34 @@ mod tests {
         cache.series(NodeId(3), "known", Some(1));
         assert_eq!(fetches.load(Ordering::Relaxed), 3);
         assert_eq!(cache.misses(), 3);
+    }
+
+    #[test]
+    fn racing_misses_on_one_cold_key_fetch_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let fetches = AtomicUsize::new(0);
+        let adapter = ClosureAdapter(|node: NodeId, _: &str, _: Option<usize>| {
+            fetches.fetch_add(1, Ordering::SeqCst);
+            // A slow feed: every racer arrives while the fetch is in flight.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            Some(TimeSeries::new(0, 60, vec![node.0 as f64]))
+        });
+        let cache = SeriesCache::new(&adapter);
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    let series = cache.series(NodeId(5), "thr", None).expect("stream");
+                    assert_eq!(series.values, vec![5.0]);
+                });
+            }
+        });
+        assert_eq!(fetches.load(Ordering::SeqCst), 1, "one fetch for one key");
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), THREADS - 1, "the waiters count as hits");
+        assert_eq!(cache.streams_cached(), 1);
     }
 }

@@ -1,6 +1,8 @@
 //! Integration test reproducing Appendix B: the full high-level JSON
 //! intent of Listing 1 translated into a mathematical model (our IR plus
-//! emitted MiniZinc text mirroring Listing 2), and solved.
+//! emitted MiniZinc text mirroring Listing 2), and solved. The emitted
+//! text is pinned byte for byte by `tests/golden/listing1.mzn`
+//! (regenerate with `UPDATE_GOLDEN=1 cargo test --test intent_translation`).
 
 use cornet::planner::{translate, GroupStrategy, PlanIntent, TranslateOptions};
 use cornet::solver::{solve, SolverConfig};
@@ -141,6 +143,24 @@ fn listing1_translates_solves_and_emits_minizinc() {
         .model
         .check(&result.solution().assignment)
         .is_ok());
+}
+
+#[test]
+fn listing1_minizinc_matches_golden() {
+    let intent = PlanIntent::from_json(LISTING1).unwrap();
+    let inv = inventory();
+    let topo = Topology::with_capacity(12);
+    let nodes: Vec<NodeId> = inv.ids().collect();
+    let translation =
+        translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
+    let mzn = translation.model.to_minizinc();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/listing1.mzn");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &mzn).expect("golden written");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden present (UPDATE_GOLDEN=1)");
+    assert_eq!(mzn, golden, "MiniZinc emission changed");
 }
 
 #[test]
