@@ -33,6 +33,7 @@ use cornet_model::Model;
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
 use cornet_solver::{
     solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolveResult, SolverConfig,
+    StopReason,
 };
 use cornet_types::{ConflictTable, CornetError, Inventory, NodeId, Result};
 use rayon::prelude::*;
@@ -203,8 +204,9 @@ fn open_solve_span(ctx: &SolveContext<'_>, name: &'static str) -> ActiveSpan {
 }
 
 /// Close a backend-run span with the outcome attributes shared by every
-/// backend: termination category, cost, feasibility, budget consumption
-/// and whether the run was cancelled under it.
+/// backend: termination category and why the search stopped, cost,
+/// feasibility, budget consumption and whether the run was cancelled
+/// under it.
 fn close_solve_span(
     ctx: &SolveContext<'_>,
     mut span: ActiveSpan,
@@ -224,6 +226,7 @@ fn close_solve_span(
         span.attr("feasible", run.feasible);
     }
     span.attr("search_nodes", result.stats.nodes);
+    span.attr("stop", result.stats.stop.name());
     span.attr("budget_nodes", budget.max_nodes);
     span.attr("solutions", result.stats.solutions);
     span.attr("cancelled", cancel.is_cancelled());
@@ -243,7 +246,7 @@ pub struct BackendRun {
     pub cost: Option<i64>,
     /// Whether the assignment passes `model.check`.
     pub feasible: bool,
-    /// Search counters.
+    /// Search counters, including why the search stopped.
     pub stats: SearchStats,
     /// Wall-clock time this run consumed (for portfolio members, the
     /// member's full race time including cancellation latency).
@@ -513,11 +516,11 @@ impl SolverBackend for HeuristicBackend {
         let cost = model.cost(&assignment);
         let elapsed = started.elapsed();
         let stats = SearchStats {
-            nodes: 0,
-            backtracks: 0,
             solutions: 1,
             elapsed,
             time_to_best: elapsed,
+            stop: StopReason::FirstSolution,
+            ..SearchStats::default()
         };
         let result = BackendResult::from_run(
             BackendRun {
@@ -860,7 +863,11 @@ impl ShardedBackend {
         indexed.sort_by_key(|(si, _)| *si);
 
         let mut assignment = vec![0i64; model.var_count()];
-        let mut stats = SearchStats::default();
+        // The merge builds one plan from the shards' answers.
+        let mut stats = SearchStats {
+            stop: StopReason::FirstSolution,
+            ..SearchStats::default()
+        };
         let mut runs: Vec<BackendRun> = Vec::new();
         let mut missing = 0usize;
         let mut all_optimal = true;
@@ -1216,6 +1223,79 @@ mod tests {
         );
         assert_eq!(r.stats.nodes, 1, "empty delta expands a single node");
         assert_eq!(r.outcome, Outcome::Feasible, "pinned search proves nothing");
+    }
+
+    #[test]
+    fn sharded_publishes_heuristic_merge_when_shard_dives_are_hopeless() {
+        // Two 20k-unit shards: one exact/greedy descent scans every
+        // domain per node, ~n² work, many times the shard slice in any
+        // build. The budget is sized from the heuristic's own run time so
+        // the same test holds for debug and release builds.
+        let (intent, inv, topo, nodes) = fixture(40_000, 5_000);
+        let translation =
+            translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
+        let conflicts = intent.conflicts().unwrap();
+        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let heuristic = HeuristicConfig::default();
+        let started = Instant::now();
+        HeuristicBackend {
+            config: heuristic.clone(),
+            capacity_override: None,
+        }
+        .solve(&ctx, &Budget::default(), &CancelToken::new());
+        let budget = Budget {
+            time_limit: started.elapsed() * 16,
+            ..Budget::default()
+        };
+
+        let backend = ShardedBackend::standard(&SolverConfig::default(), &heuristic);
+        let started = Instant::now();
+        let r = backend.solve(&ctx, &budget, &CancelToken::new());
+        let took = started.elapsed();
+
+        // What the shard heuristic members alone produce, merged and
+        // reconciled the way the sharded backend does it.
+        let split = shard_translation(&translation, &inv, backend.max_shards).expect("two shards");
+        let mut merged = vec![0i64; translation.model.var_count()];
+        for shard in &split.shards {
+            let sctx = SolveContext::new(&shard.part.translation, &inv, &intent, &conflicts);
+            let member = HeuristicBackend {
+                config: heuristic.clone(),
+                capacity_override: shard.heuristic_cap,
+            }
+            .solve(&sctx, &budget, &CancelToken::new());
+            let sub = member.assignment.expect("heuristic always proposes");
+            for (&old, &val) in shard.part.vars.iter().zip(&sub) {
+                merged[old] = val;
+            }
+        }
+        reconcile(
+            &translation.model,
+            &mut merged,
+            backend.max_reconcile_rounds,
+        );
+        assert_eq!(r.assignment.as_ref(), Some(&merged));
+
+        let solver_runs: Vec<_> = r
+            .runs
+            .iter()
+            .filter(|run| run.shard.is_some() && run.backend != "heuristic")
+            .collect();
+        assert_eq!(solver_runs.len(), 2 * split.shards.len());
+        for run in solver_runs {
+            assert_eq!(run.outcome, Outcome::Unknown, "{}", run.backend);
+            assert_eq!(run.stats.stop, StopReason::DiveOverrun, "{}", run.backend);
+        }
+        for run in r.runs.iter().filter(|run| run.backend == "heuristic") {
+            assert_eq!(run.stats.stop, StopReason::FirstSolution);
+        }
+        // Each member gives up once an eighth of its shard slice has
+        // passed, so the solve ends well inside its budget.
+        assert!(
+            took < budget.time_limit,
+            "sharded solve took {took:?} of a {:?} budget",
+            budget.time_limit
+        );
     }
 
     #[test]

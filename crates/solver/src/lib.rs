@@ -12,7 +12,8 @@
 //!   family, driven to fixpoint by a changed-variable worklist;
 //! * [`search`] — branch & bound DFS: smallest-domain variable selection,
 //!   cost-ordered values (greedy first dive), per-variable cost lower
-//!   bounds, node and wall-clock budgets.
+//!   bounds, node and wall-clock budgets, and an early stop for a first
+//!   descent whose measured pace cannot reach a leaf inside the budget.
 //!
 //! The solver is exact: given enough budget it proves optimality. Under a
 //! budget it returns the incumbent and reports [`Outcome::Feasible`] —
@@ -28,7 +29,7 @@ pub mod state;
 pub use propagate::Propagation;
 pub use search::{
     solve, CancelToken, Outcome, SearchStats, SharedIncumbent, Solution, SolveResult, SolverConfig,
-    WarmStartHint,
+    StopReason, WarmStartHint,
 };
 pub use state::{Conflict, State};
 

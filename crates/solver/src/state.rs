@@ -18,21 +18,26 @@ pub struct State {
     trail: Vec<(u32, i64)>,
     /// Variables whose domains changed since the engine last drained them.
     changed: Vec<u32>,
+    /// Number of fixed (single-value) domains, kept in step with every
+    /// removal and undo so progress reads cost O(1).
+    fixed: usize,
 }
 
 impl State {
     /// Initial state with full domains from the model.
     pub fn new(model: &Model) -> Self {
         let max_value = model.vars.iter().map(|v| v.hi).max().unwrap_or(0);
-        let domains = model
+        let domains: Vec<BitDomain> = model
             .vars
             .iter()
             .map(|v| BitDomain::new(v.lo, v.hi, max_value))
             .collect();
+        let fixed = domains.iter().filter(|d| d.is_fixed()).count();
         State {
             domains,
             trail: Vec::new(),
             changed: Vec::new(),
+            fixed,
         }
     }
 
@@ -53,8 +58,13 @@ impl State {
         if self.domains[var].remove(value) {
             self.trail.push((var as u32, value));
             self.changed.push(var as u32);
-            if self.domains[var].is_empty() {
-                return Err(Conflict);
+            match self.domains[var].len() {
+                1 => self.fixed += 1,
+                0 => {
+                    self.fixed -= 1;
+                    return Err(Conflict);
+                }
+                _ => {}
             }
         }
         Ok(())
@@ -87,7 +97,13 @@ impl State {
     pub fn undo_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
             let (var, value) = self.trail.pop().expect("trail underflow");
-            self.domains[var as usize].insert(value);
+            let d = &mut self.domains[var as usize];
+            d.insert(value);
+            match d.len() {
+                1 => self.fixed += 1,
+                2 => self.fixed -= 1,
+                _ => {}
+            }
         }
     }
 
@@ -101,9 +117,14 @@ impl State {
         self.changed.clear();
     }
 
+    /// Number of variables whose domain holds exactly one value.
+    pub fn fixed_count(&self) -> usize {
+        self.fixed
+    }
+
     /// True when every variable is fixed.
     pub fn all_fixed(&self) -> bool {
-        self.domains.iter().all(BitDomain::is_fixed)
+        self.fixed == self.domains.len()
     }
 
     /// Extract the assignment; panics unless all variables are fixed.
@@ -160,6 +181,26 @@ mod tests {
         s.fix(1, 1).unwrap();
         assert!(s.all_fixed());
         assert_eq!(s.assignment(), vec![2, 1]);
+    }
+
+    #[test]
+    fn fixed_count_follows_removals_wipeouts_and_undo() {
+        let m = model2();
+        let mut s = State::new(&m);
+        assert_eq!(s.fixed_count(), 0);
+        let mark = s.mark();
+        s.fix(0, 2).unwrap();
+        assert_eq!(s.fixed_count(), 1);
+        s.remove(1, 2).unwrap();
+        assert_eq!(s.fixed_count(), 2);
+        assert_eq!(s.remove(1, 1), Err(Conflict), "wipeout unfixes b");
+        assert_eq!(s.fixed_count(), 1);
+        s.undo_to(mark);
+        assert_eq!(s.fixed_count(), 0);
+        let recount = (0..s.var_count())
+            .filter(|&v| s.domain(v).is_fixed())
+            .count();
+        assert_eq!(s.fixed_count(), recount);
     }
 
     #[test]

@@ -468,12 +468,13 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
             }
             for run in &result.backend_runs {
                 println!(
-                    "  backend {}{}{}: {:?}, cost {}, {} nodes in {:?}",
+                    "  backend {}{}{}: {:?} ({}), cost {}, {} nodes in {:?}",
                     run.backend,
                     run.shard
                         .map_or_else(String::new, |s| format!("[shard {s}]")),
                     if run.winner { " (winner)" } else { "" },
                     run.outcome,
+                    run.stats.stop.name(),
                     run.cost.map_or_else(|| "-".into(), |c| c.to_string()),
                     run.stats.nodes,
                     run.elapsed,
